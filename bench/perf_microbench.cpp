@@ -396,7 +396,7 @@ void BM_SchedDispatch(benchmark::State& state) {
     shape.seed = 11;
     shape.fleets = static_cast<std::uint64_t>(state.range(0));
     shape.hours_per_fleet = 50.0;
-    const sim::CampaignConfig config = sched::config_from_plan(shape, 1);
+    const sim::CampaignConfig config = sched::config_from_plan(shape);
     const sched::CampaignPlan plan = sched::make_plan(
         shape.policy, shape.odd, config, sched::campaign_inputs_digest());
     for (auto _ : state) {

@@ -18,9 +18,8 @@
 
 #include "obs/metrics.h"
 #include "sched/ready_queue.h"
-#include "store/format.h"
+#include "store/campaign_store.h"
 #include "store/lease.h"
-#include "store/shard.h"
 #include "store/store.h"
 
 // Lock order between the lease board's bookkeeping and the shared stats:
@@ -310,27 +309,13 @@ CoordinatorStats run_coordinator(const CampaignPlan& plan, const Dag& dag,
     // manifest (this process is the manifest's single writer). Returns
     // false when the shard is absent or does not verify.
     const auto try_finish = [&](std::uint64_t i) {
-        const std::string file =
-            store::Store::shard_filename(i, plan.nodes[i].key);
-        try {
-            const store::ShardInfo info =
-                store::verify_shard(config.store_dir + "/" + file);
-            if (info.cache_key != plan.nodes[i].key || info.fleet_index != i) {
-                return false;
-            }
-            store::ShardEntry entry;
-            entry.fleet_index = i;
-            entry.file = file;
-            entry.cache_key = plan.nodes[i].key;
-            entry.records = info.records;
-            entry.exposure_hours = info.totals.exposure_hours;
-            db.record(entry);
-            state[i] = NodeState::Done;
-            ++done_count;
-            return true;
-        } catch (const store::StoreError&) {
-            return false;
-        }
+        const store::FleetShard shard =
+            store::check_fleet_shard(config.store_dir, i, plan.nodes[i].key);
+        if (shard.state != store::ShardState::Sealed) return false;
+        db.record(shard.entry);
+        state[i] = NodeState::Done;
+        ++done_count;
+        return true;
     };
 
     // Resume sweep: anything already sealed (a previous run, or standalone

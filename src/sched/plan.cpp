@@ -1,6 +1,7 @@
 #include "sched/plan.h"
 
 #include <bit>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -17,21 +18,6 @@ namespace {
 
 constexpr std::string_view kPlanKind = "qrn.sched.plan";
 constexpr int kPlanSchemaVersion = 1;
-
-sim::TacticalPolicy policy_from_name(const std::string& name) {
-    if (name == "cautious") return sim::TacticalPolicy::cautious();
-    if (name == "nominal") return sim::TacticalPolicy::nominal();
-    if (name == "performance") return sim::TacticalPolicy::performance();
-    throw SchedError("campaign plan names unknown policy '" + name +
-                     "' (a plan from a different build?)");
-}
-
-sim::Odd odd_from_name(const std::string& name) {
-    if (name == "urban") return sim::Odd::urban();
-    if (name == "highway") return sim::Odd::highway();
-    throw SchedError("campaign plan names unknown ODD '" + name +
-                     "' (a plan from a different build?)");
-}
 
 std::uint64_t plan_u64(const qrn::json::Value& value, const std::string& what) {
     if (!value.is_number() || value.as_number() < 0) {
@@ -51,13 +37,14 @@ std::string plan_node_id(std::uint64_t fleet_index) {
 
 std::optional<std::uint64_t> fleet_index_of(std::string_view id) {
     constexpr std::string_view prefix = "fleet-";
-    if (id.size() <= prefix.size() || id.substr(0, prefix.size()) != prefix) {
-        return std::nullopt;
-    }
+    if (!id.starts_with(prefix)) return std::nullopt;
+    const std::string_view digits = id.substr(prefix.size());
     std::uint64_t value = 0;
-    for (const char ch : id.substr(prefix.size())) {
-        if (ch < '0' || ch > '9') return std::nullopt;
-        value = value * 10 + static_cast<std::uint64_t>(ch - '0');
+    const auto [end, error] =
+        std::from_chars(digits.data(), digits.data() + digits.size(), value);
+    if (error != std::errc() || end != digits.data() + digits.size() ||
+        plan_node_id(value) != id) {
+        return std::nullopt;
     }
     return value;
 }
@@ -87,19 +74,28 @@ CampaignPlan make_plan(std::string policy, std::string odd,
     return plan;
 }
 
-sim::CampaignConfig config_from_plan(const CampaignPlan& plan, unsigned jobs) {
+sim::CampaignConfig config_from_plan(const CampaignPlan& plan) {
+    const auto policy = sim::TacticalPolicy::named(plan.policy);
+    if (!policy) {
+        throw SchedError("campaign plan names unknown policy '" + plan.policy +
+                         "' (a plan from a different build?)");
+    }
+    const auto odd = sim::Odd::named(plan.odd);
+    if (!odd) {
+        throw SchedError("campaign plan names unknown ODD '" + plan.odd +
+                         "' (a plan from a different build?)");
+    }
     sim::CampaignConfig config;
-    config.base.policy = policy_from_name(plan.policy);
-    config.base.odd = odd_from_name(plan.odd);
+    config.base.policy = *policy;
+    config.base.odd = *odd;
     config.base.seed = plan.seed;
     config.fleets = plan.fleets;
     config.hours_per_fleet = plan.hours_per_fleet;
-    config.jobs = jobs;
     return config;
 }
 
 void verify_plan_keys(const CampaignPlan& plan, std::string_view inputs_digest) {
-    const sim::CampaignConfig config = config_from_plan(plan, 1);
+    const sim::CampaignConfig config = config_from_plan(plan);
     for (const PlanNode& node : plan.nodes) {
         const std::uint64_t key =
             store::fleet_cache_key(config.base, config.hours_per_fleet,

@@ -54,12 +54,13 @@ struct CampaignPlan {
 /// matching the shard file-name convention).
 [[nodiscard]] std::string plan_node_id(std::uint64_t fleet_index);
 
-/// Inverse of plan_node_id; nullopt for anything else.
+/// Inverse of plan_node_id; nullopt for anything but its exact spelling
+/// ("fleet-1", extra leading zeros and out-of-range digits are refused).
 [[nodiscard]] std::optional<std::uint64_t> fleet_index_of(std::string_view id);
 
 /// The opaque inputs digest every campaign cache key folds in: the
-/// serialized incident-type catalog evidence is labelled against. Must
-/// stay identical to what the CLI's plain --store path digests.
+/// serialized incident-type catalog evidence is labelled against. The
+/// CLI's --store and --distributed campaigns both key their shards by it.
 [[nodiscard]] std::string campaign_inputs_digest();
 
 /// Compiles a campaign into a plan: one node per fleet with its content
@@ -70,8 +71,7 @@ struct CampaignPlan {
 
 /// Reconstructs the CampaignConfig a plan describes. Throws SchedError on
 /// an unknown policy/ODD name (a plan from a newer build).
-[[nodiscard]] sim::CampaignConfig config_from_plan(const CampaignPlan& plan,
-                                                   unsigned jobs);
+[[nodiscard]] sim::CampaignConfig config_from_plan(const CampaignPlan& plan);
 
 /// Recomputes every node key from the reconstructed config and throws
 /// SchedError on the first mismatch: this build would not reproduce the

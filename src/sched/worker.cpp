@@ -17,7 +17,6 @@
 #include "store/campaign_store.h"
 #include "store/format.h"
 #include "store/lease.h"
-#include "store/shard.h"
 #include "store/store.h"
 
 namespace qrn::sched {
@@ -82,7 +81,7 @@ public:
         }
         plan_ = std::move(*plan);
         verify_plan_keys(plan_, inputs_digest_);
-        config_ = config_from_plan(plan_, options.jobs);
+        config_ = config_from_plan(plan_);
     }
 
     [[nodiscard]] const CampaignPlan& plan() const noexcept { return plan_; }
@@ -96,14 +95,9 @@ public:
     /// True when the fleet's shard already verifies clean under the plan's
     /// key: the node is done no matter who sealed it.
     [[nodiscard]] bool shard_done(std::uint64_t fleet_index) const {
-        try {
-            const store::ShardInfo info =
-                store::verify_shard(shard_path(fleet_index));
-            return info.cache_key == plan_.nodes[fleet_index].key &&
-                   info.fleet_index == fleet_index;
-        } catch (const store::StoreError&) {
-            return false;
-        }
+        return store::check_fleet_shard(store_dir_, fleet_index,
+                                        plan_.nodes[fleet_index].key)
+                   .state == store::ShardState::Sealed;
     }
 
     /// Simulates and seals the fleet's shard unless it is already done.

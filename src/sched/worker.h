@@ -32,7 +32,6 @@ namespace qrn::sched {
 
 struct WorkerOptions {
     std::string store_dir;
-    unsigned jobs = 1;                   ///< Reserved; fleets run one at a time.
     std::uint64_t lease_ttl_ms = 10000;  ///< Standalone lease TTL.
     std::string owner;                   ///< Lease owner id; "" = "worker-<pid>".
 };

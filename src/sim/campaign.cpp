@@ -8,48 +8,55 @@
 
 namespace qrn::sim {
 
-std::vector<TypeEvidence> CampaignResult::pooled_evidence(
-    const IncidentTypeSet& types) const {
-    // One columnar pass per log computes every per-type count; the former
-    // loop rescanned each log once per incident type (K x incidents).
-    std::vector<std::uint64_t> totals(types.size(), 0);
-    for (const auto& log : logs) {
-        const std::vector<std::uint64_t> counts = count_matching_all(log.incidents, types);
-        for (std::size_t k = 0; k < types.size(); ++k) totals[k] += counts[k];
-    }
-    std::vector<TypeEvidence> out;
-    out.reserve(types.size());
+Frequency CampaignAggregate::pooled_incident_rate() const {
+    return Frequency::of_count(total_events, total_exposure);
+}
+
+stats::HeterogeneityResult CampaignAggregate::heterogeneity() const {
+    return stats::rate_heterogeneity_test(observations);
+}
+
+CampaignAggregate fold_fleets(const std::vector<FleetPartial>& partials,
+                              const IncidentTypeSet& types) {
+    CampaignAggregate out;
+    out.shard_count = partials.size();
+    out.evidence.reserve(types.size());
     for (std::size_t k = 0; k < types.size(); ++k) {
         TypeEvidence e;
         e.incident_type_id = types.at(k).id();
-        e.exposure = total_exposure;
-        e.events = totals[k];
-        out.push_back(std::move(e));
+        out.evidence.push_back(std::move(e));
     }
+    out.observations.reserve(partials.size());
+    for (const FleetPartial& fleet : partials) {
+        const ExposureHours exposure(fleet.exposure_hours);
+        out.total_exposure += exposure;
+        out.total_events += static_cast<double>(fleet.records);
+        out.total_records += fleet.records;
+        out.per_fleet_rates.add(
+            Frequency::of_count(static_cast<double>(fleet.records), exposure)
+                .per_hour_value());
+        out.observations.push_back({fleet.records, fleet.exposure_hours});
+        for (std::size_t k = 0; k < types.size(); ++k) {
+            out.evidence[k].events += fleet.type_events[k];
+        }
+    }
+    for (auto& e : out.evidence) e.exposure = out.total_exposure;
     return out;
 }
 
-Frequency CampaignResult::pooled_incident_rate() const {
-    double events = 0.0;
-    for (const auto& log : logs) events += static_cast<double>(log.incidents.size());
-    return Frequency::of_count(events, total_exposure);
+std::vector<TypeEvidence> CampaignResult::pooled_evidence(
+    const IncidentTypeSet& types) const {
+    return aggregate(types).evidence;
 }
 
-stats::RunningSummary CampaignResult::per_fleet_rate_summary() const {
-    stats::RunningSummary summary;
+CampaignAggregate CampaignResult::aggregate(const IncidentTypeSet& types) const {
+    std::vector<FleetPartial> partials;
+    partials.reserve(logs.size());
     for (const auto& log : logs) {
-        summary.add(log.incident_rate().per_hour_value());
+        partials.push_back({log.incidents.size(), log.exposure.hours(),
+                            count_matching_all(log.incidents, types)});
     }
-    return summary;
-}
-
-stats::HeterogeneityResult CampaignResult::heterogeneity() const {
-    std::vector<stats::RateObservation> observations;
-    observations.reserve(logs.size());
-    for (const auto& log : logs) {
-        observations.push_back({log.incidents.size(), log.exposure.hours()});
-    }
-    return stats::rate_heterogeneity_test(observations);
+    return fold_fleets(partials, types);
 }
 
 CampaignResult run_campaign(const CampaignConfig& config) {

@@ -159,4 +159,11 @@ TacticalPolicy TacticalPolicy::performance() {
     return p;
 }
 
+std::optional<TacticalPolicy> TacticalPolicy::named(std::string_view name) {
+    if (name == "cautious") return cautious();
+    if (name == "nominal") return nominal();
+    if (name == "performance") return performance();
+    return std::nullopt;
+}
+
 }  // namespace qrn::sim

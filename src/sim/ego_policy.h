@@ -11,6 +11,9 @@
 // HARA's 'given' input - is in fact a policy output.
 #pragma once
 
+#include <optional>
+#include <string_view>
+
 #include "sim/dynamics.h"
 #include "sim/odd.h"
 
@@ -95,6 +98,9 @@ struct TacticalPolicy {
     [[nodiscard]] static TacticalPolicy nominal();
     /// Preset: performance style (full speed, short gaps, late reactions).
     [[nodiscard]] static TacticalPolicy performance();
+    /// The preset called `name` ("cautious", "nominal", "performance"), or
+    /// nullopt: the one name table behind --policy and campaign plans.
+    [[nodiscard]] static std::optional<TacticalPolicy> named(std::string_view name);
 
     /// Checks parameter ranges; throws std::invalid_argument on violation.
     void validate() const;

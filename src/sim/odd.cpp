@@ -89,4 +89,10 @@ Odd Odd::highway() {
     return odd;
 }
 
+std::optional<Odd> Odd::named(std::string_view name) {
+    if (name == "urban") return urban();
+    if (name == "highway") return highway();
+    return std::nullopt;
+}
+
 }  // namespace qrn::sim

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -60,6 +61,10 @@ struct Odd {
 
     /// Highway ODD: 120 km/h, low VRU density, no snow/fog.
     [[nodiscard]] static Odd highway();
+
+    /// The preset called `name` ("urban", "highway"), or nullopt: the one
+    /// name table behind --odd and campaign plans.
+    [[nodiscard]] static std::optional<Odd> named(std::string_view name);
 };
 
 }  // namespace qrn::sim

@@ -2,25 +2,19 @@
 //
 // A resumed or cached campaign must print the same evidence, rates and
 // heterogeneity statistics as the run that simulated everything in memory
-// - digit for digit. These functions reproduce the CampaignResult
-// aggregates by streaming shards in fleet order: integer tallies commute,
-// and every floating-point fold (exposure, pooled events, the per-fleet
-// rate summary) is performed serially in fleet order after the per-shard
-// scans, so the summation order matches the in-memory path exactly.
-// Per-shard scans are independent and run in parallel via qrn_exec; each
-// holds O(block) memory, never a whole log.
+// - digit for digit. aggregate_evidence scans each shard once into a
+// sim::FleetPartial and hands the partials, in fleet order, to the same
+// sim::fold_fleets the in-memory CampaignResult uses. Per-shard scans are
+// independent and run in parallel via qrn_exec; each holds O(block)
+// memory, never a whole log.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "qrn/empirical.h"
-#include "qrn/frequency.h"
 #include "qrn/incident_type.h"
-#include "qrn/verification.h"
-#include "stats/histogram.h"
-#include "stats/rate_estimation.h"
+#include "sim/campaign.h"
 
 namespace qrn::store {
 
@@ -30,40 +24,16 @@ struct ShardRef {
     std::string path;
 };
 
-/// Everything `qrn campaign` reports, rebuilt from shards.
-struct StoreAggregate {
-    std::vector<TypeEvidence> evidence;           ///< Pooled per-type evidence.
-    ExposureHours total_exposure;                 ///< Fleet-order sum.
-    double total_events = 0.0;                    ///< Incidents, fleet-order sum.
-    std::uint64_t total_records = 0;
-    std::size_t shard_count = 0;
-    stats::RunningSummary per_fleet_rates;        ///< Of incident_rate() values.
-    std::vector<stats::RateObservation> observations;  ///< Fleet order.
+/// Everything `qrn campaign` reports, rebuilt from shards: the campaign
+/// aggregate every path shares.
+using StoreAggregate = sim::CampaignAggregate;
 
-    /// Matches CampaignResult::pooled_incident_rate().
-    [[nodiscard]] Frequency pooled_incident_rate() const;
-
-    /// Matches CampaignResult::heterogeneity(); requires >= 2 shards.
-    [[nodiscard]] stats::HeterogeneityResult heterogeneity() const;
-};
-
-/// Streams every shard once and pools evidence and rate statistics.
-/// Shards are scanned in parallel (`jobs`); all folds are fleet-order
-/// serial, so the result is bit-identical for every jobs value and equal
-/// to the in-memory CampaignResult aggregates. Throws StoreError on any
-/// shard defect.
+/// Streams every shard once and folds the partials in fleet order. Shards
+/// are scanned in parallel (`jobs`); the fold is serial, so the result is
+/// bit-identical for every jobs value and equal to the in-memory
+/// CampaignResult::aggregate. Throws StoreError on any shard defect.
 [[nodiscard]] StoreAggregate aggregate_evidence(const std::vector<ShardRef>& shards,
                                                 const IncidentTypeSet& types,
                                                 unsigned jobs);
-
-/// Streaming equivalent of label_incidents(pooled, ..., seed, jobs) +
-/// tally_contributions: record j of shard s is labelled with the RNG
-/// stream of its *global* index (fleet-order prefix sums of record
-/// counts), so the tallies equal the in-memory path exactly. Two passes
-/// over each shard: one to fix the global offsets, one to label.
-[[nodiscard]] ContributionCounts aggregate_contributions(
-    const std::vector<ShardRef>& shards, const IncidentTypeSet& types,
-    std::size_t class_count, const RiskNorm& norm, const InjuryRiskModel& model,
-    const std::vector<double>& near_miss_profile, std::uint64_t seed, unsigned jobs);
 
 }  // namespace qrn::store

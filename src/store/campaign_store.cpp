@@ -36,24 +36,28 @@ void declare_metrics() {
     obs::declare_timer("store.shard_read_ns");
 }
 
-/// A sealed shard qualifies for reuse only when a full integrity scan
-/// passes AND its header/footer identify it as exactly this fleet of
-/// exactly this run. Any defect means "simulate instead".
-bool reusable(const Store& store, const ShardEntry& entry, std::uint64_t key,
-              std::uint64_t fleet_index, bool& was_corrupt) {
-    try {
-        const ShardInfo info = verify_shard(store.shard_path(entry));
-        return info.cache_key == key && info.fleet_index == fleet_index &&
-               info.records == entry.records;
-    } catch (const StoreError& error) {
-        // A missing file (Io) is a plain cache miss; anything else is a
-        // shard that exists but cannot be trusted.
-        was_corrupt = error.is_corruption();
-        return false;
-    }
-}
-
 }  // namespace
+
+FleetShard check_fleet_shard(const std::string& dir, std::uint64_t fleet_index,
+                             std::uint64_t key) {
+    FleetShard out;
+    out.entry.fleet_index = fleet_index;
+    out.entry.file = Store::shard_filename(fleet_index, key);
+    out.entry.cache_key = key;
+    try {
+        const ShardInfo info = verify_shard(dir + "/" + out.entry.file);
+        if (info.cache_key == key && info.fleet_index == fleet_index) {
+            out.state = ShardState::Sealed;
+            out.entry.records = info.records;
+            out.entry.exposure_hours = info.totals.exposure_hours;
+        }
+    } catch (const StoreError& error) {
+        // A missing file (Io) is a plain miss; anything else is a shard
+        // that exists but cannot be trusted.
+        if (error.is_corruption()) out.state = ShardState::Corrupt;
+    }
+    return out;
+}
 
 ShardEntry simulate_fleet_shard(const sim::CampaignConfig& config,
                                 const std::string& dir,
@@ -98,40 +102,33 @@ StoreCampaignStats run_campaign_with_store(const sim::CampaignConfig& config,
         config.jobs, config.fleets, [&](std::size_t i) {
             const std::uint64_t key = fleet_cache_key(
                 config.base, config.hours_per_fleet, i, inputs_digest);
-
-            if (const ShardEntry* existing = store.find(i);
-                existing != nullptr && existing->cache_key == key) {
-                bool was_corrupt = false;
-                ShardEntry entry = *existing;
-                if (reusable(store, entry, key, i, was_corrupt)) {
-                    reused.fetch_add(1, std::memory_order_relaxed);
-                    if (obs::enabled()) {
-                        obs::add_counter("store.cache_hits", 1);
-                        obs::add_counter("store.shards_reused", 1);
-                    }
-                    return entry;
+            FleetShard shard = check_fleet_shard(store.dir(), i, key);
+            if (shard.state == ShardState::Sealed) {
+                reused.fetch_add(1, std::memory_order_relaxed);
+                if (obs::enabled()) {
+                    obs::add_counter("store.cache_hits", 1);
+                    obs::add_counter("store.shards_reused", 1);
                 }
-                if (was_corrupt) {
+            } else {
+                if (shard.state == ShardState::Corrupt) {
                     invalid.fetch_add(1, std::memory_order_relaxed);
                     if (obs::enabled()) obs::add_counter("store.shards_invalid", 1);
                 }
+                if (obs::enabled()) obs::add_counter("store.cache_misses", 1);
+                simulated.fetch_add(1, std::memory_order_relaxed);
+                shard.entry = simulate_fleet_shard(config, store.dir(), i, inputs_digest);
             }
-
-            if (obs::enabled()) obs::add_counter("store.cache_misses", 1);
-            simulated.fetch_add(1, std::memory_order_relaxed);
-            const ShardEntry entry =
-                simulate_fleet_shard(config, store.dir(), i, inputs_digest);
 
             // A previous run may have left this fleet under a different
             // key (different config); the new manifest row supersedes it,
             // and the stale file is removed best-effort.
             if (const ShardEntry* stale = store.find(i);
-                stale != nullptr && stale->file != entry.file) {
+                stale != nullptr && stale->file != shard.entry.file) {
                 std::error_code ec;
                 std::filesystem::remove(store.shard_path(*stale), ec);
             }
-            store.record(entry);
-            return entry;
+            store.record(shard.entry);
+            return shard.entry;
         });
 
     out.fleets_simulated = simulated.load();

@@ -8,12 +8,15 @@
 // resumes exactly there and produces byte-identical shards - and therefore
 // byte-identical downstream statistics - to an uninterrupted run.
 //
-// A shard is only ever reused after a full integrity re-scan: a corrupted,
-// truncated or key-mismatched shard is counted, reported through qrn_obs
-// and silently *re-simulated*, never trusted.
+// A shard is only ever reused after a full integrity re-scan
+// (check_fleet_shard, the one check the distributed coordinator and its
+// workers use too): a corrupted, truncated or key-mismatched shard is
+// counted, reported through qrn_obs and silently *re-simulated*, never
+// trusted.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,6 +37,27 @@ struct StoreCampaignStats {
     /// and verified by the time this is returned.
     std::vector<ShardEntry> entries;
 };
+
+/// Where one fleet's shard stands under the key it should be sealed with.
+enum class ShardState {
+    Sealed,   ///< Verifies clean as exactly this fleet under this key.
+    Absent,   ///< No such file, or the file holds another fleet or key.
+    Corrupt,  ///< The file exists but fails its integrity scan.
+};
+
+/// What check_fleet_shard found for one fleet.
+struct FleetShard {
+    ShardState state = ShardState::Absent;
+    ShardEntry entry;  ///< The manifest row describing the shard when Sealed.
+};
+
+/// The one sealed-shard check: does fleet `fleet_index`'s shard in `dir`
+/// (Store::shard_filename(fleet_index, key)) pass a full integrity scan as
+/// exactly that fleet under `key`? Never throws StoreError; a missing file
+/// is Absent, damaged bytes are Corrupt.
+[[nodiscard]] FleetShard check_fleet_shard(const std::string& dir,
+                                           std::uint64_t fleet_index,
+                                           std::uint64_t key);
 
 /// Runs the campaign against the store. Fleet i's key is
 /// fleet_cache_key(config.base, config.hours_per_fleet, i, inputs_digest);

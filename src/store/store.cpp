@@ -174,6 +174,10 @@ std::string Store::shard_filename(std::uint64_t fleet_index, std::uint64_t cache
 
 void Store::record(const ShardEntry& entry) {
     const std::scoped_lock lock(mutex_);
+    // Reused shards and the coordinator's resume sweep record every row
+    // they find; rewriting an unchanged manifest would make that quadratic.
+    const auto it = entries_.find(entry.fleet_index);
+    if (it != entries_.end() && it->second == entry) return;
     entries_[entry.fleet_index] = entry;
     write_manifest_locked();
 }

@@ -5,8 +5,9 @@
 // shard is ever reused its header key is re-checked and its blocks are
 // re-checksummed, so a stale or hand-edited manifest can cause a cache
 // miss (re-simulation) but never a wrong result. The manifest itself is
-// rewritten atomically (temp + rename) after every recorded shard, which
-// makes any prefix of a campaign a valid resume point.
+// rewritten atomically (temp + rename) after every recorded shard that
+// changes a row, which makes any prefix of a campaign a valid resume
+// point.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +26,8 @@ struct ShardEntry {
     std::uint64_t cache_key = 0;
     std::uint64_t records = 0;      ///< Incident records (from the footer).
     double exposure_hours = 0.0;    ///< Exposure (informational; footer rules).
+
+    friend bool operator==(const ShardEntry&, const ShardEntry&) = default;
 };
 
 /// A shard store rooted at one directory. Thread-safe: campaign workers
@@ -58,8 +61,9 @@ public:
     [[nodiscard]] static std::string shard_filename(std::uint64_t fleet_index,
                                                     std::uint64_t cache_key);
 
-    /// Upserts an entry and atomically rewrites the manifest. Safe to call
-    /// from parallel campaign workers. Throws StoreError(Io) when the
+    /// Upserts an entry and atomically rewrites the manifest; recording a
+    /// row the manifest already holds unchanged writes nothing. Safe to
+    /// call from parallel campaign workers. Throws StoreError(Io) when the
     /// manifest cannot be written.
     void record(const ShardEntry& entry);
 

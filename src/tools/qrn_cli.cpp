@@ -40,9 +40,17 @@
 //                                    --sched-ttl-ms (default 10000); a DAG
 //                                    larger than --sched-max-nodes is
 //                                    rejected with diagnostics (exit 1).
-//                                    stdout is byte-identical to the same
-//                                    campaign with --jobs 1, at any worker
-//                                    count and across kill/resume cycles.
+//                                    The workers seal the shards; the run
+//                                    then checks every plan node's
+//                                    manifest row and aggregates those
+//                                    shards (each record is read twice:
+//                                    verify, then aggregate). stdout is
+//                                    byte-identical to the same campaign
+//                                    with --jobs 1, at any worker count
+//                                    and across kill/resume cycles.
+//                                    Every campaign mode ends in the same
+//                                    fleet-order fold (sim::fold_fleets)
+//                                    and prints the same summary lines.
 //   sched worker --store DIR [--ttl-ms N] [--owner NAME] [--attached]
 //                                    one distributed-campaign worker.
 //                                    Standalone (default): claim fleet
@@ -200,9 +208,15 @@ public:
         return args_[1];
     }
 
+    /// The token after `flag`; nullopt when the flag is absent. A flag
+    /// given as the last token is a ParseError, never a silent default.
     [[nodiscard]] std::optional<std::string> option(const std::string& flag) const {
-        for (std::size_t i = 1; i + 1 < args_.size() + 1; ++i) {
-            if (args_[i - 1] == flag && i < args_.size()) return args_[i];
+        for (std::size_t i = 0; i < args_.size(); ++i) {
+            if (args_[i] != flag) continue;
+            if (i + 1 == args_.size()) {
+                throw ParseError(flag, "", "a value after the flag");
+            }
+            return args_[i + 1];
         }
         return std::nullopt;
     }
@@ -295,16 +309,13 @@ unsigned parse_jobs(const Args& args) {
 }
 
 sim::TacticalPolicy policy_by_name(const std::string& name) {
-    if (name == "cautious") return sim::TacticalPolicy::cautious();
-    if (name == "nominal") return sim::TacticalPolicy::nominal();
-    if (name == "performance") return sim::TacticalPolicy::performance();
+    if (auto policy = sim::TacticalPolicy::named(name)) return *policy;
     throw ParseError("--policy", name,
                      "one of 'cautious', 'nominal', 'performance'");
 }
 
 sim::Odd odd_by_name(const std::string& name) {
-    if (name == "urban") return sim::Odd::urban();
-    if (name == "highway") return sim::Odd::highway();
+    if (auto odd = sim::Odd::named(name)) return *odd;
     throw ParseError("--odd", name, "one of 'urban', 'highway'");
 }
 
@@ -427,156 +438,21 @@ int cmd_simulate(const Args& args) {
     return 0;
 }
 
-/// The campaign summary lines, shared by the in-memory and store paths.
-/// Both paths must produce byte-identical text for the same campaign -
-/// that is the observable face of the resume-determinism guarantee.
-void print_campaign_summary(std::size_t fleets, ExposureHours total_exposure,
-                            Frequency pooled_rate,
-                            const stats::RunningSummary& summary,
-                            const std::optional<stats::HeterogeneityResult>& homogeneity) {
-    std::cerr << "fleets: " << fleets
-              << ", total exposure: " << total_exposure.hours() << " h"
-              << ", pooled incident rate: " << pooled_rate.to_string()
-              << ", per-fleet rate mean/stddev: " << summary.mean() << " / "
-              << summary.stddev() << '\n';
-    if (homogeneity) {
-        std::cerr << "fleet homogeneity: chi2 " << homogeneity->chi_squared << " on "
-                  << homogeneity->degrees_of_freedom << " dof (p = "
-                  << homogeneity->p_value << ")\n";
+/// The campaign summary lines. Every campaign path ends in the same
+/// aggregate, so in-memory, --store and --distributed runs print the same
+/// text: the observable face of the resume-determinism guarantee.
+void print_campaign_summary(const sim::CampaignAggregate& agg) {
+    std::cerr << "fleets: " << agg.shard_count
+              << ", total exposure: " << agg.total_exposure.hours() << " h"
+              << ", pooled incident rate: " << agg.pooled_incident_rate().to_string()
+              << ", per-fleet rate mean/stddev: " << agg.per_fleet_rates.mean()
+              << " / " << agg.per_fleet_rates.stddev() << '\n';
+    if (agg.shard_count >= 2) {
+        const stats::HeterogeneityResult homogeneity = agg.heterogeneity();
+        std::cerr << "fleet homogeneity: chi2 " << homogeneity.chi_squared << " on "
+                  << homogeneity.degrees_of_freedom << " dof (p = "
+                  << homogeneity.p_value << ")\n";
     }
-}
-
-/// Campaign against a shard store: reuse every sealed shard whose content
-/// key matches, simulate the rest, then rebuild the pooled statistics by
-/// streaming the shards (never the in-memory logs), so cold, warm and
-/// resumed runs all flow through the same aggregation code.
-int cmd_campaign_store(const sim::CampaignConfig& config, const std::string& dir,
-                       bool resume) {
-    store::Store st(dir);
-    if (resume && !st.manifest_found()) {
-        throw IoError("cannot --resume: no store manifest in '" + dir +
-                      "' (run once with --store first)");
-    }
-    const auto types = IncidentTypeSet::paper_vru_example();
-    // The incident-type catalog is part of the cache key: evidence computed
-    // against different types must never reuse each other's shards.
-    const std::string inputs_digest = to_json(types).dump();
-    store::StoreCampaignStats run;
-    {
-        const obs::ScopedSpan span("fleet_sim");
-        run = store::run_campaign_with_store(config, st, inputs_digest);
-    }
-    std::cerr << "store: " << run.fleets_reused << " shard(s) reused, "
-              << run.fleets_simulated << " simulated, " << run.shards_invalid
-              << " invalid (" << dir << ")\n";
-    std::vector<store::ShardRef> refs;
-    refs.reserve(run.entries.size());
-    for (const auto& entry : run.entries) {
-        refs.push_back({entry.fleet_index, st.shard_path(entry)});
-    }
-    store::StoreAggregate agg;
-    {
-        const obs::ScopedSpan span("incident_labelling");
-        agg = store::aggregate_evidence(refs, types, config.jobs);
-    }
-    std::optional<stats::HeterogeneityResult> homogeneity;
-    if (agg.shard_count >= 2) homogeneity = agg.heterogeneity();
-    print_campaign_summary(agg.shard_count, agg.total_exposure,
-                           agg.pooled_incident_rate(), agg.per_fleet_rates,
-                           homogeneity);
-    std::cout << evidence_to_json(agg.evidence).dump(2) << '\n';
-    return 0;
-}
-
-/// Campaign in distributed mode (docs/DISTRIBUTED.md): compile the
-/// campaign into a work DAG, write the plan into the store, drive the
-/// fleet nodes through the coordinator + worker processes, then flow
-/// through the *same* store aggregation as a local --store run - which is
-/// why stdout is byte-identical to `--jobs 1` at any worker count, after
-/// any worker death, and across kill/resume cycles.
-int cmd_campaign_distributed(const Args& args, const sim::CampaignConfig& config,
-                             const std::string& policy_name,
-                             const std::string& odd_name,
-                             const std::string& dir, bool resume) {
-    if (resume && !store::Store(dir).manifest_found()) {
-        throw IoError("cannot --resume: no store manifest in '" + dir +
-                      "' (run once with --store first)");
-    }
-    const std::string inputs_digest = sched::campaign_inputs_digest();
-    const sched::CampaignPlan plan =
-        sched::make_plan(policy_name, odd_name, config, inputs_digest);
-
-    // The "generate" node: the plan is written exactly once per store; a
-    // rerun must describe the same campaign, or the shards would lie.
-    if (const auto existing = sched::read_plan(dir)) {
-        if (!(*existing == plan)) {
-            throw sched::SchedError(
-                "store '" + dir +
-                "' already holds the plan of a different campaign; use a "
-                "fresh --store directory (or matching flags) to resume");
-        }
-    } else {
-        sched::write_plan(dir, plan);
-    }
-
-    const sched::Dag dag = sched::build_campaign_dag(plan);
-    sched::DagBudget budget = sched::DagBudget::campaign_default();
-    if (const auto cap = args.option("--sched-max-nodes")) {
-        budget.node_count_hard =
-            tools::parse_u64("--sched-max-nodes", *cap, 1, kMaxFleets + 3);
-    }
-    const sched::BudgetCheck check =
-        sched::check_budget(sched::compute_metrics(dag), budget);
-    if (!check.diagnostics.empty()) std::cerr << check.diagnostics;
-    if (!check.passed) return 1;
-
-    sched::CoordinatorConfig coord;
-    coord.store_dir = dir;
-    coord.workers = static_cast<unsigned>(tools::parse_u64(
-        "--workers", args.option("--workers").value_or("2"), 1, 256));
-    coord.lease_ttl_ms = tools::parse_u64(
-        "--sched-ttl-ms", args.option("--sched-ttl-ms").value_or("10000"), 1,
-        86'400'000);
-    sched::CoordinatorStats stats;
-    {
-        const obs::ScopedSpan span("sched_dispatch");
-        stats = sched::run_coordinator(plan, dag, coord);
-    }
-    std::cerr << "sched: " << stats.nodes_total << " node(s): "
-              << stats.nodes_completed << " completed, " << stats.nodes_reused
-              << " reused; " << stats.nodes_dispatched << " dispatch(es), "
-              << stats.leases_stolen << " steal(s), " << stats.worker_failures
-              << " worker failure(s)\n";
-
-    // Crash injection for the resume tests: die after the fleet nodes are
-    // sealed but before the aggregate node runs.
-    if (const char* fault = std::getenv("QRN_SCHED_FAULT_COORD_BEFORE_AGGREGATE");
-        fault != nullptr && fault[0] == '1') {
-        std::_Exit(137);
-    }
-
-    // The "aggregate" node: the exact code path of a local --store run.
-    const int rc = cmd_campaign_store(config, dir, resume);
-    if (rc != 0) return rc;
-
-    // The "verify" node: every plan node must be in the manifest under its
-    // plan key - the scheduler's end-to-end completeness check.
-    const store::Store st(dir);
-    std::size_t defects = 0;
-    for (const auto& node : plan.nodes) {
-        const store::ShardEntry* entry = st.find(node.fleet_index);
-        if (entry == nullptr || entry->cache_key != node.key) {
-            std::cerr << "sched: verify: "
-                      << sched::plan_node_id(node.fleet_index)
-                      << (entry != nullptr
-                              ? " is recorded under the wrong key\n"
-                              : " is missing from the manifest\n");
-            ++defects;
-        }
-    }
-    if (defects != 0) return 2;
-    std::cerr << "sched: verify ok (" << plan.nodes.size() << " node(s))\n";
-    return 0;
 }
 
 /// `qrn sched worker`: one worker process of a distributed campaign,
@@ -635,7 +511,7 @@ int cmd_campaign_splitting(const Args& args, const std::string& levels_text) {
     // silently running something other than what its flags promised.
     for (const char* flag : {"--fleets", "--hours", "--store", "--resume"}) {
         if (args.has(flag)) {
-            throw ParseError(flag, args.option(flag).value_or(""),
+            throw ParseError(flag, "",
                              "no " + std::string(flag) +
                                  " in --splitting mode (levels and "
                                  "--splitting-trials set the effort)");
@@ -711,6 +587,13 @@ int cmd_campaign_splitting(const Args& args, const std::string& levels_text) {
     return 0;
 }
 
+/// `qrn campaign`: every run ends in one aggregate and one summary. In
+/// memory the aggregate folds the simulated logs; with --store it streams
+/// the fleets' sealed shards, which either run_campaign_with_store (local
+/// threads, reusing matching shards) or the distributed coordinator
+/// (docs/DISTRIBUTED.md) sealed. Both fold through sim::fold_fleets, which
+/// is why stdout is byte-identical across --jobs, worker counts and
+/// kill/resume cycles.
 int cmd_campaign(const Args& args) {
     if (const auto levels = args.option("--splitting")) {
         return cmd_campaign_splitting(args, *levels);
@@ -732,38 +615,133 @@ int cmd_campaign(const Args& args) {
     if (store_dir && store_dir->empty()) {
         throw ParseError("--store", *store_dir, "a directory path");
     }
-    if (args.has("--resume") && !store_dir) {
+    const bool resume = args.has("--resume");
+    if (resume && !store_dir) {
         throw ParseError("--resume", "", "--store DIR alongside --resume");
     }
-    if (args.has("--distributed")) {
+    const bool distributed = args.has("--distributed");
+    sched::CoordinatorConfig coord;
+    sched::DagBudget budget = sched::DagBudget::campaign_default();
+    if (distributed) {
         if (!store_dir) {
             throw ParseError("--distributed", "",
                              "--store DIR alongside --distributed (the store "
                              "is the coordination substrate)");
         }
-        return cmd_campaign_distributed(args, config, policy_name, odd_name,
-                                        *store_dir, args.has("--resume"));
+        coord.store_dir = *store_dir;
+        coord.workers = static_cast<unsigned>(tools::parse_u64(
+            "--workers", args.option("--workers").value_or("2"), 1, 256));
+        coord.lease_ttl_ms = tools::parse_u64(
+            "--sched-ttl-ms", args.option("--sched-ttl-ms").value_or("10000"), 1,
+            86'400'000);
+        if (const auto cap = args.option("--sched-max-nodes")) {
+            budget.node_count_hard =
+                tools::parse_u64("--sched-max-nodes", *cap, 1, kMaxFleets + 3);
+        }
     }
-    if (store_dir) {
-        return cmd_campaign_store(config, *store_dir, args.has("--resume"));
-    }
-    sim::CampaignResult result;
-    {
-        const obs::ScopedSpan span("fleet_sim");
-        result = sim::run_campaign(config);
-    }
-    std::optional<stats::HeterogeneityResult> homogeneity;
-    if (result.logs.size() >= 2) homogeneity = result.heterogeneity();
-    print_campaign_summary(result.logs.size(), result.total_exposure,
-                           result.pooled_incident_rate(),
-                           result.per_fleet_rate_summary(), homogeneity);
+
     const auto types = IncidentTypeSet::paper_vru_example();
-    std::vector<TypeEvidence> evidence;
-    {
+    sim::CampaignAggregate agg;
+    if (!store_dir) {
+        sim::CampaignResult result;
+        {
+            const obs::ScopedSpan span("fleet_sim");
+            result = sim::run_campaign(config);
+        }
         const obs::ScopedSpan span("incident_labelling");
-        evidence = result.pooled_evidence(types);
+        agg = result.aggregate(types);
+    } else {
+        store::Store st(*store_dir);
+        if (resume && !st.manifest_found()) {
+            throw IoError("cannot --resume: no store manifest in '" + *store_dir +
+                          "' (run once with --store first)");
+        }
+        // The incident-type catalog is part of every cache key: evidence
+        // computed against different types must never reuse each other's
+        // shards.
+        const std::string inputs_digest = sched::campaign_inputs_digest();
+        std::vector<store::ShardEntry> sealed;
+        if (distributed) {
+            const sched::CampaignPlan plan =
+                sched::make_plan(policy_name, odd_name, config, inputs_digest);
+            // The "generate" node: the plan is written exactly once per
+            // store; a rerun must describe the same campaign, or the
+            // shards would lie.
+            if (const auto existing = sched::read_plan(*store_dir)) {
+                if (!(*existing == plan)) {
+                    throw sched::SchedError(
+                        "store '" + *store_dir +
+                        "' already holds the plan of a different campaign; use "
+                        "a fresh --store directory (or matching flags) to resume");
+                }
+            } else {
+                sched::write_plan(*store_dir, plan);
+            }
+            const sched::Dag dag = sched::build_campaign_dag(plan);
+            const sched::BudgetCheck check =
+                sched::check_budget(sched::compute_metrics(dag), budget);
+            if (!check.diagnostics.empty()) std::cerr << check.diagnostics;
+            if (!check.passed) return 1;
+
+            sched::CoordinatorStats stats;
+            {
+                const obs::ScopedSpan span("sched_dispatch");
+                stats = sched::run_coordinator(plan, dag, coord);
+            }
+            std::cerr << "sched: " << stats.nodes_total << " node(s): "
+                      << stats.nodes_completed << " completed, "
+                      << stats.nodes_reused << " reused; "
+                      << stats.nodes_dispatched << " dispatch(es), "
+                      << stats.leases_stolen << " steal(s), "
+                      << stats.worker_failures << " worker failure(s)\n";
+
+            // Crash injection for the resume tests: die after the fleet
+            // nodes are sealed but before the aggregate node runs.
+            if (const char* fault =
+                    std::getenv("QRN_SCHED_FAULT_COORD_BEFORE_AGGREGATE");
+                fault != nullptr && fault[0] == '1') {
+                std::_Exit(137);
+            }
+
+            // The "verify" node: every plan node must be in the manifest
+            // under its plan key. The coordinator recorded only shards it
+            // verified, so these rows are what the aggregate reads.
+            const store::Store manifest(*store_dir);
+            for (const auto& node : plan.nodes) {
+                const store::ShardEntry* entry = manifest.find(node.fleet_index);
+                if (entry == nullptr || entry->cache_key != node.key) {
+                    std::cerr << "sched: verify: "
+                              << sched::plan_node_id(node.fleet_index)
+                              << (entry != nullptr
+                                      ? " is recorded under the wrong key\n"
+                                      : " is missing from the manifest\n");
+                    continue;
+                }
+                sealed.push_back(*entry);
+            }
+            if (sealed.size() != plan.nodes.size()) return 2;
+            std::cerr << "sched: verify ok (" << plan.nodes.size() << " node(s))\n";
+        } else {
+            store::StoreCampaignStats run;
+            {
+                const obs::ScopedSpan span("fleet_sim");
+                run = store::run_campaign_with_store(config, st, inputs_digest);
+            }
+            std::cerr << "store: " << run.fleets_reused << " shard(s) reused, "
+                      << run.fleets_simulated << " simulated, "
+                      << run.shards_invalid << " invalid (" << *store_dir << ")\n";
+            sealed = std::move(run.entries);
+        }
+        std::vector<store::ShardRef> refs;
+        refs.reserve(sealed.size());
+        for (const auto& entry : sealed) {
+            refs.push_back({entry.fleet_index, st.shard_path(entry)});
+        }
+        const obs::ScopedSpan span("incident_labelling");
+        agg = store::aggregate_evidence(refs, types, config.jobs);
     }
-    std::cout << evidence_to_json(evidence).dump(2) << '\n';
+    print_campaign_summary(agg);
+    std::cout << evidence_to_json(agg.evidence).dump(2) << '\n';
     return 0;
 }
 

@@ -252,6 +252,13 @@ TEST(Cli, MalformedArgvMatrix) {
         {"simulate --hours 10 --jobs 0", "--jobs", "'0'", false},
         {"pipeline --jobs nope", "--jobs", "'nope'", false},
         {"campaign --fleets 2 --hours 5 --jobs 2x", "--jobs", "'2x'", false},
+        // a value flag given as the last token has no value: never a
+        // silent fallback to memory, the default jobs or two workers
+        {"campaign --fleets 2 --hours 5 --store", "--store", "a value", false},
+        {"campaign --fleets 2 --hours 5 --jobs", "--jobs", "a value", false},
+        {"campaign --fleets 2 --hours 5 --store qrn-cli-never-created "
+         "--distributed --workers",
+         "--workers", "a value", false},
     };
     for (const auto& bad : matrix) {
         if (bad.accepts_jobs) {
@@ -622,6 +629,70 @@ TEST(Cli, CampaignResumeFlagContract) {
         run_cli("campaign --fleets 2 --hours 5 --store " + dir + " --resume");
     EXPECT_EQ(resumed.exit_code, 0);
     EXPECT_EQ(resumed.output, cold.output);
+    std::filesystem::remove_all(dir);
+}
+
+/// The stderr lines every campaign path prints from its aggregate.
+std::string summary_lines(const std::string& err) {
+    std::string out;
+    std::size_t at = 0;
+    while (at < err.size()) {
+        const std::size_t eol = std::min(err.find('\n', at), err.size());
+        const std::string line = err.substr(at, eol - at);
+        if (line.rfind("fleets: ", 0) == 0 || line.rfind("fleet homogeneity: ", 0) == 0) {
+            out += line + '\n';
+        }
+        at = eol + 1;
+    }
+    return out;
+}
+
+TEST(Cli, CampaignSummaryIdenticalOnEveryPath) {
+    // One fold behind every path: in memory, cold and warm --store, and
+    // --distributed print the same summary, digit for digit.
+    const std::string local = store_dir("summary_local");
+    const std::string dist = store_dir("summary_dist");
+    const std::string args = "campaign --fleets 4 --hours 40 --seed 5";
+    const auto memory = run_cli_stderr(args);
+    ASSERT_EQ(memory.exit_code, 0);
+    const std::string expected = summary_lines(memory.output);
+    ASSERT_NE(expected.find("fleet homogeneity: "), std::string::npos) << memory.output;
+    for (const std::string& variant :
+         {" --store " + local, " --store " + local,
+          " --store " + dist + " --distributed --workers 2"}) {
+        const auto run = run_cli_stderr(args + variant);
+        ASSERT_EQ(run.exit_code, 0) << variant << ": " << run.output;
+        EXPECT_EQ(summary_lines(run.output), expected) << variant;
+    }
+    std::filesystem::remove_all(local);
+    std::filesystem::remove_all(dist);
+}
+
+TEST(Cli, DistributedCampaignReadsEachRecordTwice) {
+    // Two read passes over every shard: the coordinator verifies each one
+    // before recording it, then the aggregate streams it. Nothing re-enters
+    // the local --store path for a third.
+    const std::string dir = store_dir("read_passes");
+    const std::string metrics_path = temp_path("metrics_read_passes.json");
+    ASSERT_EQ(run_cli("campaign --fleets 6 --hours 200 --seed 3 --store " + dir +
+                      " --distributed --workers 2 --metrics " + metrics_path)
+                  .exit_code,
+              0);
+    double records = 0.0;
+    const auto manifest = qrn::json::parse(read_file(dir + "/manifest.json"));
+    for (const auto& row : manifest.at("shards").as_array()) {
+        records += row.at("records").as_number();
+    }
+    ASSERT_GT(records, 0.0) << "campaign too quiet to count read passes";
+    double records_read = -1.0;
+    const auto metrics = qrn::json::parse(read_file(metrics_path));
+    for (const auto& counter : metrics.at("counters").as_array()) {
+        if (counter.at("name").as_string() == "store.records_read") {
+            records_read = counter.at("value").as_number();
+        }
+    }
+    EXPECT_EQ(records_read, 2.0 * records);
+    std::remove(metrics_path.c_str());
     std::filesystem::remove_all(dir);
 }
 

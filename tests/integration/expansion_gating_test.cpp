@@ -84,8 +84,10 @@ TEST(ExpansionGating, WiderOddCarriesMoreRisk) {
     sim::Odd restricted = sim::Odd::urban();
     restricted.max_speed_limit_kmh = 30.0;
     restricted.max_vru_density = 1.0;
-    const auto stage1 = sim::run_campaign(stage_campaign(restricted, 123));
-    const auto stage3 = sim::run_campaign(stage_campaign(sim::Odd::urban(), 123));
+    const auto types = IncidentTypeSet::paper_vru_example();
+    const auto stage1 = sim::run_campaign(stage_campaign(restricted, 123)).aggregate(types);
+    const auto stage3 =
+        sim::run_campaign(stage_campaign(sim::Odd::urban(), 123)).aggregate(types);
     EXPECT_LT(stage1.pooled_incident_rate().per_hour_value(),
               stage3.pooled_incident_rate().per_hour_value());
 }

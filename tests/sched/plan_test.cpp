@@ -45,6 +45,17 @@ TEST(Plan, NodeIdGrammarRoundTrips) {
     EXPECT_FALSE(fleet_index_of("fleet-12x").has_value());
     EXPECT_FALSE(fleet_index_of("aggregate").has_value());
     EXPECT_FALSE(fleet_index_of("").has_value());
+    // Only plan_node_id's exact spelling names a node: an attached worker
+    // must not run fleet 1 for "fleet-1", nor for a 2^64 + 1 that wraps.
+    EXPECT_FALSE(fleet_index_of("fleet-1").has_value());
+    EXPECT_FALSE(fleet_index_of("fleet-000042").has_value());
+    EXPECT_FALSE(fleet_index_of("fleet-0123456").has_value());
+    EXPECT_FALSE(fleet_index_of("fleet-+0042").has_value());
+    EXPECT_FALSE(fleet_index_of("fleet- 0042").has_value());
+    EXPECT_FALSE(fleet_index_of("fleet-18446744073709551617").has_value());
+    EXPECT_FALSE(fleet_index_of("fleet-99999999999999999999").has_value());
+    EXPECT_EQ(fleet_index_of("fleet-18446744073709551615"),
+              18446744073709551615u);
 }
 
 TEST(Plan, MakePlanPinsTheStoreCacheKeys) {
@@ -72,7 +83,7 @@ TEST(Plan, WriteReadRoundTripIsExact) {
     shape.seed = 0xDEADBEEFCAFE1234ULL;
     shape.fleets = 3;
     shape.hours_per_fleet = 123.456;
-    const sim::CampaignConfig config = config_from_plan(shape, 1);
+    const sim::CampaignConfig config = config_from_plan(shape);
     const CampaignPlan plan =
         make_plan("cautious", "highway", config, campaign_inputs_digest());
     write_plan(dir, plan);
@@ -86,7 +97,7 @@ TEST(Plan, WriteReadRoundTripIsExact) {
     EXPECT_TRUE(*read == plan);
 
     // The reconstructed config reproduces the exact cache keys.
-    const sim::CampaignConfig rebuilt = config_from_plan(*read, 1);
+    const sim::CampaignConfig rebuilt = config_from_plan(*read);
     EXPECT_EQ(rebuilt.base.seed, config.base.seed);
     EXPECT_EQ(rebuilt.hours_per_fleet, config.hours_per_fleet);
     verify_plan_keys(*read, campaign_inputs_digest());
@@ -132,10 +143,10 @@ TEST(Plan, UnknownPolicyOrOddIsRefused) {
     CampaignPlan plan =
         make_plan("nominal", "urban", config, campaign_inputs_digest());
     plan.policy = "reckless";
-    EXPECT_THROW(config_from_plan(plan, 1), SchedError);
+    EXPECT_THROW((void)config_from_plan(plan), SchedError);
     plan.policy = "nominal";
     plan.odd = "lunar";
-    EXPECT_THROW(config_from_plan(plan, 1), SchedError);
+    EXPECT_THROW((void)config_from_plan(plan), SchedError);
 }
 
 TEST(Plan, CampaignDagHasTheDocumentedShape) {

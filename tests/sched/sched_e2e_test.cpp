@@ -157,7 +157,7 @@ void write_plan_for_campaign(const std::string& store) {
     shape.seed = 11;
     shape.fleets = 4;
     shape.hours_per_fleet = 20.0;
-    const sim::CampaignConfig config = sched::config_from_plan(shape, 1);
+    const sim::CampaignConfig config = sched::config_from_plan(shape);
     sched::write_plan(store,
                       sched::make_plan(shape.policy, shape.odd, config,
                                        sched::campaign_inputs_digest()));

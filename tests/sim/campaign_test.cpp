@@ -55,12 +55,14 @@ TEST(Campaign, PooledRateMatchesTotals) {
     const auto result = run_campaign(small_campaign(4, 250.0));
     double events = 0.0;
     for (const auto& log : result.logs) events += static_cast<double>(log.incidents.size());
-    EXPECT_DOUBLE_EQ(result.pooled_incident_rate().per_hour_value(), events / 1000.0);
+    const auto aggregate = result.aggregate(IncidentTypeSet::paper_vru_example());
+    EXPECT_DOUBLE_EQ(aggregate.pooled_incident_rate().per_hour_value(), events / 1000.0);
 }
 
 TEST(Campaign, RateSummaryDescribesDispersion) {
     const auto result = run_campaign(small_campaign(8, 250.0));
-    const auto summary = result.per_fleet_rate_summary();
+    const auto summary =
+        result.aggregate(IncidentTypeSet::paper_vru_example()).per_fleet_rates;
     EXPECT_EQ(summary.count(), 8u);
     EXPECT_GE(summary.max(), summary.mean());
     EXPECT_LE(summary.min(), summary.mean());
@@ -94,8 +96,9 @@ TEST(Campaign, HeterogeneityDispersionReflectsFleetMix) {
     // extra-Poisson dispersion. Mixing two very different policies must
     // inflate the dispersion index (chi^2 / dof) far beyond that baseline
     // and drive the p-value to ~0.
+    const auto types = IncidentTypeSet::paper_vru_example();
     const auto same = run_campaign(small_campaign(8, 1500.0));
-    const auto same_test = same.heterogeneity();
+    const auto same_test = same.aggregate(types).heterogeneity();
     EXPECT_DOUBLE_EQ(same_test.degrees_of_freedom, 7.0);
     const double same_dispersion = same_test.chi_squared / same_test.degrees_of_freedom;
 
@@ -110,7 +113,7 @@ TEST(Campaign, HeterogeneityDispersionReflectsFleetMix) {
         mixed.logs.push_back(log);
         mixed.total_exposure += log.exposure;
     }
-    const auto mixed_test = mixed.heterogeneity();
+    const auto mixed_test = mixed.aggregate(types).heterogeneity();
     EXPECT_LT(mixed_test.p_value, 1e-6);
     EXPECT_GT(mixed_test.chi_squared / mixed_test.degrees_of_freedom,
               5.0 * same_dispersion);
@@ -120,7 +123,8 @@ TEST(Campaign, HeterogeneityRequiresAtLeastTwoFleets) {
     // A single fleet has no dispersion to test; the streaming store path
     // mirrors this exact contract (tests/store/aggregate_test.cpp).
     const auto result = run_campaign(small_campaign(1, 200.0));
-    EXPECT_THROW((void)result.heterogeneity(), std::invalid_argument);
+    EXPECT_THROW((void)result.aggregate(IncidentTypeSet::paper_vru_example()).heterogeneity(),
+                 std::invalid_argument);
 }
 
 TEST(Campaign, AllZeroIncidentCountsAreHomogeneous) {
@@ -132,11 +136,12 @@ TEST(Campaign, AllZeroIncidentCountsAreHomogeneous) {
         result.total_exposure += log.exposure;
         result.logs.push_back(log);
     }
-    const auto test = result.heterogeneity();
+    const auto aggregate = result.aggregate(IncidentTypeSet::paper_vru_example());
+    const auto test = aggregate.heterogeneity();
     EXPECT_DOUBLE_EQ(test.chi_squared, 0.0);
     EXPECT_DOUBLE_EQ(test.p_value, 1.0);
     EXPECT_DOUBLE_EQ(test.pooled_rate, 0.0);
-    EXPECT_DOUBLE_EQ(result.pooled_incident_rate().per_hour_value(), 0.0);
+    EXPECT_DOUBLE_EQ(aggregate.pooled_incident_rate().per_hour_value(), 0.0);
 }
 
 TEST(Campaign, Validation) {

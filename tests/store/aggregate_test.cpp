@@ -1,7 +1,7 @@
 // Streaming aggregation over shards must reproduce the in-memory campaign
 // aggregates bit for bit - evidence, exposure, pooled rate, per-fleet
-// dispersion, heterogeneity and contribution tallies - for every jobs
-// value. These tests are the resume-determinism pin at the library level.
+// dispersion and heterogeneity - for every jobs value. These tests are the
+// resume-determinism pin at the library level.
 #include "store/aggregate.h"
 
 #include <cstdint>
@@ -13,9 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "qrn/empirical.h"
-#include "qrn/injury_risk.h"
-#include "qrn/risk_norm.h"
 #include "sim/campaign.h"
 #include "store/format.h"
 #include "store/shard.h"
@@ -63,9 +60,17 @@ TEST(Aggregate, ReproducesTheInMemoryCampaignExactly) {
     const std::string dir = fresh_dir("exact");
     const auto shards = shards_of(result, dir);
 
+    // Reference statistics straight from the in-memory logs, in fleet order.
     const auto pooled = result.pooled_evidence(types);
-    const auto summary = result.per_fleet_rate_summary();
-    const auto homogeneity = result.heterogeneity();
+    double events = 0.0;
+    stats::RunningSummary summary;
+    std::vector<stats::RateObservation> observations;
+    for (const auto& log : result.logs) {
+        events += static_cast<double>(log.incidents.size());
+        summary.add(log.incident_rate().per_hour_value());
+        observations.push_back({log.incidents.size(), log.exposure.hours()});
+    }
+    const auto homogeneity = stats::rate_heterogeneity_test(observations);
 
     for (const unsigned jobs : {1u, 2u, 4u}) {
         const StoreAggregate agg = aggregate_evidence(shards, types, jobs);
@@ -80,7 +85,7 @@ TEST(Aggregate, ReproducesTheInMemoryCampaignExactly) {
             EXPECT_EQ(agg.evidence[k].exposure.hours(), pooled[k].exposure.hours());
         }
         EXPECT_EQ(agg.pooled_incident_rate().per_hour_value(),
-                  result.pooled_incident_rate().per_hour_value());
+                  Frequency::of_count(events, result.total_exposure).per_hour_value());
         EXPECT_EQ(agg.per_fleet_rates.count(), summary.count());
         EXPECT_EQ(agg.per_fleet_rates.mean(), summary.mean());
         EXPECT_EQ(agg.per_fleet_rates.stddev(), summary.stddev());
@@ -91,36 +96,6 @@ TEST(Aggregate, ReproducesTheInMemoryCampaignExactly) {
         EXPECT_EQ(het.degrees_of_freedom, homogeneity.degrees_of_freedom);
         EXPECT_EQ(het.p_value, homogeneity.p_value);
         EXPECT_EQ(het.pooled_rate, homogeneity.pooled_rate);
-    }
-    std::filesystem::remove_all(dir);
-}
-
-TEST(Aggregate, ContributionsMatchInMemoryLabellingExactly) {
-    const auto config = small_campaign();
-    const auto result = sim::run_campaign(config);
-    const auto types = IncidentTypeSet::paper_vru_example();
-    const auto norm = RiskNorm::paper_example();
-    const InjuryRiskModel model;
-    const std::vector<double> profile = {0.6, 0.3};
-    const std::uint64_t seed = 4242;
-    const std::string dir = fresh_dir("contrib");
-    const auto shards = shards_of(result, dir);
-
-    // The in-memory path: pool incidents in fleet order, label each with
-    // the RNG stream of its global index, tally.
-    std::vector<Incident> pooled;
-    for (const auto& log : result.logs) {
-        pooled.insert(pooled.end(), log.incidents.begin(), log.incidents.end());
-    }
-    ASSERT_FALSE(pooled.empty()) << "campaign too quiet to exercise labelling";
-    const auto labelled = label_incidents(pooled, norm, model, profile, seed, 1);
-    const auto expected = tally_contributions(labelled, types, norm.size());
-
-    for (const unsigned jobs : {1u, 3u}) {
-        const ContributionCounts streamed = aggregate_contributions(
-            shards, types, norm.size(), norm, model, profile, seed, jobs);
-        EXPECT_EQ(streamed.totals, expected.totals) << "jobs " << jobs;
-        EXPECT_EQ(streamed.counts, expected.counts) << "jobs " << jobs;
     }
     std::filesystem::remove_all(dir);
 }

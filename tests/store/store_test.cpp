@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 
@@ -84,6 +85,34 @@ TEST(Store, RecordUpsertsByFleetIndex) {
     const auto entries = store.entries();
     ASSERT_EQ(entries.size(), 1u);
     EXPECT_EQ(entries[0].cache_key, 2u);
+}
+
+TEST(Store, RecordingAnUnchangedRowLeavesTheManifestUntouched) {
+    const std::string dir = fresh_dir("unchanged");
+    ShardEntry entry = entry_for(4, 0x77);
+    entry.exposure_hours = 1.0 / 3.0;  // must survive the JSON round trip exactly
+    Store(dir).record(entry);
+
+    const std::string path = Store(dir).manifest_path();
+    const auto bytes_of = [&] {
+        std::ifstream in(path);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    };
+    // Trailing blank lines keep the manifest valid but are bytes no rewrite
+    // produces, so they survive only if record() leaves the file alone.
+    const std::string stamped = bytes_of() + "\n\n";
+    write_text(path, stamped);
+
+    Store reopened(dir);  // the row now comes from the manifest on disk
+    reopened.record(entry);
+    EXPECT_EQ(bytes_of(), stamped);
+
+    // A changed row is still written through.
+    entry.records += 1;
+    reopened.record(entry);
+    EXPECT_NE(bytes_of(), stamped);
+    EXPECT_EQ(Store(dir).find(4)->records, entry.records);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Store, ShardFilenameIsFixedWidth) {
