@@ -388,7 +388,9 @@ BENCHMARK(BM_ServeClassify)->Arg(512)->Arg(4096)->UseRealTime();
 /// critical-path levels, budget metrics) and drain the ready queue in
 /// dispatch order, per fleet node. This is everything the coordinator does
 /// besides waiting on workers, so it bounds how small a shard can get
-/// before scheduling dominates simulation.
+/// before scheduling dominates simulation. The sizes run up to the
+/// 100000-fleet CLI ceiling, so a step that turns quadratic shows as a
+/// jump between rows.
 void BM_SchedDispatch(benchmark::State& state) {
     sched::CampaignPlan shape;
     shape.policy = "nominal";
@@ -413,7 +415,7 @@ void BM_SchedDispatch(benchmark::State& state) {
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_SchedDispatch)->Arg(100)->Arg(1000);
+BENCHMARK(BM_SchedDispatch)->Arg(100)->Arg(1000)->Arg(10000)->Arg(100000);
 
 /// Collects finished runs so a JSON baseline can be written after the
 /// console report. GetAdjustedRealTime() already folds in the per-

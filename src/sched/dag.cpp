@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <numeric>
 
 namespace qrn::sched {
 
@@ -37,7 +38,7 @@ std::size_t Dag::add_node(std::string id, double weight) {
         throw SchedError("Dag::add_node: weight of '" + id +
                          "' must be finite and >= 0");
     }
-    if (index_of(id)) {
+    if (!ids_.try_emplace(id, nodes_.size()).second) {
         throw SchedError("Dag::add_node: duplicate node id '" + id + "'");
     }
     nodes_.push_back(DagNode{std::move(id), weight});
@@ -57,17 +58,20 @@ void Dag::add_edge(std::size_t from, std::size_t to) {
         throw SchedError("Dag::add_edge: self-edge on '" + nodes_[from].id + "'");
     }
     auto& out = succs_[from];
-    if (std::find(out.begin(), out.end(), to) != out.end()) return;
+    auto& in = preds_[to];
+    const bool present = out.size() <= in.size()
+                             ? std::find(out.begin(), out.end(), to) != out.end()
+                             : std::find(in.begin(), in.end(), from) != in.end();
+    if (present) return;
     out.push_back(to);
-    preds_[to].push_back(from);
+    in.push_back(from);
     ++edges_;
 }
 
 std::optional<std::size_t> Dag::index_of(std::string_view id) const {
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        if (nodes_[i].id == id) return i;
-    }
-    return std::nullopt;
+    const auto it = ids_.find(id);
+    if (it == ids_.end()) return std::nullopt;
+    return it->second;
 }
 
 void Dag::build() {
@@ -135,22 +139,28 @@ const std::vector<std::size_t>& Dag::topo_order() const {
 namespace {
 
 /// Top-K offenders by degree, descending, ties broken by id so the
-/// diagnostics are deterministic.
-std::vector<DagMetrics::Offender> top_by_degree(
-    const Dag& dag, std::size_t top_k,
-    const std::function<std::size_t(std::size_t)>& degree_of) {
-    std::vector<DagMetrics::Offender> all;
-    all.reserve(dag.size());
-    for (std::size_t i = 0; i < dag.size(); ++i) {
-        all.push_back({dag.node(i).id, degree_of(i)});
+/// diagnostics are deterministic. Ids are unique, so the order is total
+/// and a partial sort of node indices picks exactly the first K entries a
+/// full sort would; only those K ids are copied.
+template <typename DegreeOf>
+std::vector<DagMetrics::Offender> top_by_degree(const Dag& dag, std::size_t top_k,
+                                                DegreeOf degree_of) {
+    std::vector<std::size_t> order(dag.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    const auto k = static_cast<std::ptrdiff_t>(std::min(top_k, order.size()));
+    std::partial_sort(order.begin(), order.begin() + k, order.end(),
+                      [&](std::size_t a, std::size_t b) {
+                          const std::size_t da = degree_of(a);
+                          const std::size_t db = degree_of(b);
+                          if (da != db) return da > db;
+                          return dag.node(a).id < dag.node(b).id;
+                      });
+    std::vector<DagMetrics::Offender> top;
+    top.reserve(static_cast<std::size_t>(k));
+    for (auto it = order.begin(); it != order.begin() + k; ++it) {
+        top.push_back({dag.node(*it).id, degree_of(*it)});
     }
-    std::sort(all.begin(), all.end(),
-              [](const DagMetrics::Offender& a, const DagMetrics::Offender& b) {
-                  if (a.degree != b.degree) return a.degree > b.degree;
-                  return a.id < b.id;
-              });
-    if (all.size() > top_k) all.resize(top_k);
-    return all;
+    return top;
 }
 
 }  // namespace

@@ -65,11 +65,11 @@ CampaignPlan make_plan(std::string policy, std::string odd,
     plan.seed = config.base.seed;
     plan.fleets = config.fleets;
     plan.hours_per_fleet = config.hours_per_fleet;
+    const store::CampaignKeys keys(config.base, config.hours_per_fleet,
+                                   inputs_digest);
     plan.nodes.reserve(config.fleets);
     for (std::size_t i = 0; i < config.fleets; ++i) {
-        plan.nodes.push_back(PlanNode{
-            i, store::fleet_cache_key(config.base, config.hours_per_fleet, i,
-                                      inputs_digest)});
+        plan.nodes.push_back(PlanNode{i, keys.fleet_key(i)});
     }
     return plan;
 }
@@ -96,10 +96,10 @@ sim::CampaignConfig config_from_plan(const CampaignPlan& plan) {
 
 void verify_plan_keys(const CampaignPlan& plan, std::string_view inputs_digest) {
     const sim::CampaignConfig config = config_from_plan(plan);
+    const store::CampaignKeys keys(config.base, config.hours_per_fleet,
+                                   inputs_digest);
     for (const PlanNode& node : plan.nodes) {
-        const std::uint64_t key =
-            store::fleet_cache_key(config.base, config.hours_per_fleet,
-                                   node.fleet_index, inputs_digest);
+        const std::uint64_t key = keys.fleet_key(node.fleet_index);
         if (key != node.key) {
             throw SchedError(
                 "plan key mismatch for " + plan_node_id(node.fleet_index) +

@@ -68,7 +68,6 @@ class NodeRunner {
 public:
     explicit NodeRunner(const WorkerOptions& options)
         : store_dir_(options.store_dir),
-          inputs_digest_(campaign_inputs_digest()),
           fault_mid_shard_(fault_from_env("QRN_SCHED_FAULT_MID_SHARD")) {
         std::optional<CampaignPlan> plan = read_plan(store_dir_);
         if (!plan) {
@@ -80,7 +79,7 @@ public:
                     store_dir_ + ")");
         }
         plan_ = std::move(*plan);
-        verify_plan_keys(plan_, inputs_digest_);
+        verify_plan_keys(plan_, campaign_inputs_digest());
         config_ = config_from_plan(plan_);
     }
 
@@ -114,8 +113,9 @@ public:
             std::_Exit(137);
         }
         obs::ScopedTimer timer("sched.node_exec_ns");
+        // verify_plan_keys vouched for every plan key at start-up.
         const store::ShardEntry entry = store::simulate_fleet_shard(
-            config_, store_dir_, fleet_index, inputs_digest_);
+            config_, store_dir_, fleet_index, plan_.nodes[fleet_index].key);
         if (obs::enabled()) {
             obs::add_counter("sched.nodes_completed", 1);
             obs::add_counter("store.records_written_by_worker", entry.records);
@@ -124,7 +124,6 @@ public:
 
 private:
     std::string store_dir_;
-    std::string inputs_digest_;
     std::optional<Fault> fault_mid_shard_;
     CampaignPlan plan_;
     sim::CampaignConfig config_;

@@ -41,10 +41,10 @@ void KeyHasher::mix_string(std::string_view text) noexcept {
     mix_bytes(text);
 }
 
-std::uint64_t fleet_cache_key(const sim::FleetConfig& base, double hours_per_fleet,
-                              std::size_t fleet_index,
-                              std::string_view inputs_digest) {
-    KeyHasher h;
+CampaignKeys::CampaignKeys(const sim::FleetConfig& base, double hours_per_fleet,
+                           std::string_view inputs_digest)
+    : inputs_digest_(inputs_digest) {
+    KeyHasher& h = prefix_;
     h.mix_string(kKeySalt);
 
     // Odd.
@@ -110,9 +110,19 @@ std::uint64_t fleet_cache_key(const sim::FleetConfig& base, double hours_per_fle
     h.mix_u64(base.seed);
 
     h.mix_f64(hours_per_fleet);
+}
+
+std::uint64_t CampaignKeys::fleet_key(std::size_t fleet_index) const noexcept {
+    KeyHasher h = prefix_;
     h.mix_u64(fleet_index);
-    h.mix_string(inputs_digest);
+    h.mix_string(inputs_digest_);
     return h.digest();
+}
+
+std::uint64_t fleet_cache_key(const sim::FleetConfig& base, double hours_per_fleet,
+                              std::size_t fleet_index,
+                              std::string_view inputs_digest) {
+    return CampaignKeys(base, hours_per_fleet, inputs_digest).fleet_key(fleet_index);
 }
 
 std::string key_hex(std::uint64_t key) {

@@ -61,10 +61,7 @@ FleetShard check_fleet_shard(const std::string& dir, std::uint64_t fleet_index,
 
 ShardEntry simulate_fleet_shard(const sim::CampaignConfig& config,
                                 const std::string& dir,
-                                std::size_t fleet_index,
-                                std::string_view inputs_digest) {
-    const std::uint64_t key = fleet_cache_key(config.base, config.hours_per_fleet,
-                                              fleet_index, inputs_digest);
+                                std::size_t fleet_index, std::uint64_t key) {
     sim::FleetConfig fleet = config.base;
     fleet.seed = stats::Rng::stream_seed(config.base.seed, fleet_index);
     const sim::IncidentLog log =
@@ -96,12 +93,12 @@ StoreCampaignStats run_campaign_with_store(const sim::CampaignConfig& config,
     std::atomic<std::size_t> reused{0};
     std::atomic<std::size_t> invalid{0};
 
+    const CampaignKeys keys(config.base, config.hours_per_fleet, inputs_digest);
     StoreCampaignStats out;
     out.fleets_total = config.fleets;
     out.entries = exec::parallel_map<ShardEntry>(
         config.jobs, config.fleets, [&](std::size_t i) {
-            const std::uint64_t key = fleet_cache_key(
-                config.base, config.hours_per_fleet, i, inputs_digest);
+            const std::uint64_t key = keys.fleet_key(i);
             FleetShard shard = check_fleet_shard(store.dir(), i, key);
             if (shard.state == ShardState::Sealed) {
                 reused.fetch_add(1, std::memory_order_relaxed);
@@ -116,7 +113,7 @@ StoreCampaignStats run_campaign_with_store(const sim::CampaignConfig& config,
                 }
                 if (obs::enabled()) obs::add_counter("store.cache_misses", 1);
                 simulated.fetch_add(1, std::memory_order_relaxed);
-                shard.entry = simulate_fleet_shard(config, store.dir(), i, inputs_digest);
+                shard.entry = simulate_fleet_shard(config, store.dir(), i, key);
             }
 
             // A previous run may have left this fleet under a different

@@ -68,15 +68,18 @@ struct FleetShard {
 [[nodiscard]] StoreCampaignStats run_campaign_with_store(
     const sim::CampaignConfig& config, Store& store, std::string_view inputs_digest);
 
-/// Simulates one fleet of the campaign and seals its shard into `dir`,
-/// without touching any manifest: the single code path behind both the
-/// local cache-miss branch above and the distributed scheduler's workers,
-/// so a shard's bytes depend only on the campaign inputs - never on which
-/// process produced it. Returns the manifest row describing the sealed
-/// shard (the caller decides whether and where to record it).
+/// Simulates one fleet of the campaign and seals its shard into `dir`
+/// under `key`, without touching any manifest: the single code path
+/// behind both the local cache-miss branch above and the distributed
+/// scheduler's workers, so a shard's bytes depend only on the campaign
+/// inputs - never on which process produced it. `key` must be the fleet's
+/// cache key (the caller already holds it: from its CampaignKeys, or from
+/// a plan whose keys verify_plan_keys checked). Returns the manifest row
+/// describing the sealed shard (the caller decides whether and where to
+/// record it).
 [[nodiscard]] ShardEntry simulate_fleet_shard(const sim::CampaignConfig& config,
                                               const std::string& dir,
                                               std::size_t fleet_index,
-                                              std::string_view inputs_digest);
+                                              std::uint64_t key);
 
 }  // namespace qrn::store

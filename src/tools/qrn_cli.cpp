@@ -662,26 +662,31 @@ int cmd_campaign(const Args& args) {
         const std::string inputs_digest = sched::campaign_inputs_digest();
         std::vector<store::ShardEntry> sealed;
         if (distributed) {
-            const sched::CampaignPlan plan =
-                sched::make_plan(policy_name, odd_name, config, inputs_digest);
-            // The "generate" node: the plan is written exactly once per
-            // store; a rerun must describe the same campaign, or the
-            // shards would lie.
-            if (const auto existing = sched::read_plan(*store_dir)) {
-                if (!(*existing == plan)) {
-                    throw sched::SchedError(
-                        "store '" + *store_dir +
-                        "' already holds the plan of a different campaign; use "
-                        "a fresh --store directory (or matching flags) to resume");
+            sched::CampaignPlan plan;
+            sched::Dag dag;
+            {
+                const obs::ScopedSpan span("sched_compile");
+                plan = sched::make_plan(policy_name, odd_name, config, inputs_digest);
+                // The "generate" node: the plan is written exactly once per
+                // store; a rerun must describe the same campaign, or the
+                // shards would lie.
+                if (const auto existing = sched::read_plan(*store_dir)) {
+                    if (!(*existing == plan)) {
+                        throw sched::SchedError(
+                            "store '" + *store_dir +
+                            "' already holds the plan of a different campaign; "
+                            "use a fresh --store directory (or matching flags) "
+                            "to resume");
+                    }
+                } else {
+                    sched::write_plan(*store_dir, plan);
                 }
-            } else {
-                sched::write_plan(*store_dir, plan);
+                dag = sched::build_campaign_dag(plan);
+                const sched::BudgetCheck check =
+                    sched::check_budget(sched::compute_metrics(dag), budget);
+                if (!check.diagnostics.empty()) std::cerr << check.diagnostics;
+                if (!check.passed) return 1;
             }
-            const sched::Dag dag = sched::build_campaign_dag(plan);
-            const sched::BudgetCheck check =
-                sched::check_budget(sched::compute_metrics(dag), budget);
-            if (!check.diagnostics.empty()) std::cerr << check.diagnostics;
-            if (!check.passed) return 1;
 
             sched::CoordinatorStats stats;
             {

@@ -696,6 +696,30 @@ TEST(Cli, DistributedCampaignReadsEachRecordTwice) {
     std::filesystem::remove_all(dir);
 }
 
+TEST(Cli, DistributedMetricsTimeCompileThenDispatchThenLabelling) {
+    // Plan, DAG and budget check run inside the sched_compile phase, so a
+    // --metrics manifest accounts for the time before the first dispatch.
+    // Metrics go to the manifest only: stdout stays the evidence document.
+    const std::string dir = store_dir("compile_phase");
+    const std::string plain_dir = store_dir("compile_phase_plain");
+    const std::string metrics_path = temp_path("metrics_compile_phase.json");
+    const std::string args = "campaign --fleets 3 --hours 20 --seed 4 --distributed";
+    const auto with_metrics =
+        run_cli(args + " --store " + dir + " --metrics " + metrics_path);
+    ASSERT_EQ(with_metrics.exit_code, 0);
+    const auto plain = run_cli(args + " --store " + plain_dir);
+    ASSERT_EQ(plain.exit_code, 0);
+    EXPECT_EQ(with_metrics.output, plain.output);
+
+    const auto doc = qrn::json::parse(read_file(metrics_path));
+    const std::vector<std::string> want{"sched_compile", "sched_dispatch",
+                                        "incident_labelling"};
+    EXPECT_EQ(names_of(doc, "phases"), want);
+    std::remove(metrics_path.c_str());
+    std::filesystem::remove_all(dir);
+    std::filesystem::remove_all(plain_dir);
+}
+
 TEST(Cli, StoreInspectVerifyMergeFlow) {
     const std::string dir = store_dir("inspect");
     ASSERT_EQ(run_cli("campaign --fleets 3 --hours 10 --seed 9 --store " + dir)

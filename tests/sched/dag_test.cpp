@@ -2,7 +2,9 @@
 // dispatch order, cycle rejection, and the hard/soft budget gate. The
 // coordinator's dispatch decisions are a pure function of these, so they
 // are pinned as unit properties instead of observed through process soup.
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -109,6 +111,11 @@ TEST(Dag, RejectsMalformedConstruction) {
     EXPECT_THROW(dag.add_edge(a, a), SchedError);      // self-edge
     EXPECT_THROW(dag.add_edge(a, 99), SchedError);     // out of range
     EXPECT_THROW(dag.level(a), SchedError);            // query before build
+    // Rejected nodes leave no trace in the id index.
+    EXPECT_EQ(dag.size(), 1u);
+    EXPECT_EQ(dag.index_of("a"), a);
+    EXPECT_FALSE(dag.index_of("b").has_value());
+    EXPECT_FALSE(dag.index_of("").has_value());
 }
 
 TEST(Dag, DuplicateEdgesStoreOnce) {
@@ -118,6 +125,90 @@ TEST(Dag, DuplicateEdgesStoreOnce) {
     dag.add_edge(a, b);
     dag.add_edge(a, b);
     EXPECT_EQ(dag.edge_count(), 1u);
+
+    // The campaign hub shape: the duplicate check probes the shorter of
+    // succs(from) and preds(to), so re-adding edges must be caught from
+    // either side - a fleet's short preds for generate -> fleet, its short
+    // succs for fleet -> aggregate, and the hubs' long lists when the
+    // fleet side is the longer one.
+    Dag hub;
+    const auto generate = hub.add_node("generate");
+    const auto aggregate = hub.add_node("aggregate");
+    std::vector<std::size_t> fleets;
+    for (int i = 0; i < 1000; ++i) {
+        const auto fleet = hub.add_node("fleet-" + std::to_string(i));
+        hub.add_edge(generate, fleet);
+        hub.add_edge(fleet, aggregate);
+        fleets.push_back(fleet);
+    }
+    ASSERT_EQ(hub.edge_count(), 2000u);
+    const std::vector<std::size_t> out_before = hub.succs(generate);
+    const std::vector<std::size_t> in_before = hub.preds(aggregate);
+    EXPECT_EQ(out_before, fleets);  // insertion order, not sorted or hashed
+    EXPECT_EQ(in_before, fleets);
+    for (const std::size_t fleet : fleets) {
+        hub.add_edge(generate, fleet);   // probes preds(fleet): 1 entry
+        hub.add_edge(fleet, aggregate);  // probes succs(fleet): 1 entry
+    }
+    // Grow one fleet's lists past the hubs' so the long side is probed.
+    const auto busy = fleets.front();
+    for (int i = 0; i < 1001; ++i) {
+        hub.add_edge(hub.add_node("before-" + std::to_string(i)), busy);
+        hub.add_edge(busy, hub.add_node("after-" + std::to_string(i)));
+    }
+    const std::size_t edges = hub.edge_count();
+    hub.add_edge(generate, busy);   // preds(busy) now longer than succs(generate)
+    hub.add_edge(busy, aggregate);  // succs(busy) now longer than preds(aggregate)
+    EXPECT_EQ(hub.edge_count(), edges);
+    EXPECT_EQ(edges, 2000u + 2 * 1001u);
+    EXPECT_EQ(hub.succs(generate), out_before);
+    EXPECT_EQ(hub.preds(aggregate), in_before);
+    hub.build();  // still acyclic
+}
+
+TEST(DagMetrics, TopOffendersMatchAFullSort) {
+    // Tied degrees, ids added out of sorted order: the top-K lists must be
+    // exactly the first K of a full sort by (degree desc, id asc).
+    Dag dag;
+    std::vector<std::size_t> at;
+    for (const char* id : {"m", "c", "x", "a", "q", "b", "z", "k"}) {
+        at.push_back(dag.add_node(id));
+    }
+    // Out-degree 3: m, c, a. In-degree 3: q, z, k.
+    for (const auto& [from, to] : std::vector<std::pair<std::size_t, std::size_t>>{
+             {0, 4}, {0, 5}, {0, 6}, {1, 4}, {1, 5}, {1, 7},
+             {3, 4}, {3, 6}, {3, 7}, {2, 6}, {5, 7}}) {
+        dag.add_edge(at[from], at[to]);
+    }
+    dag.build();
+
+    using Row = std::pair<std::string, std::size_t>;
+    const auto rows = [](const std::vector<DagMetrics::Offender>& offenders) {
+        std::vector<Row> out;
+        for (const auto& o : offenders) out.emplace_back(o.id, o.degree);
+        return out;
+    };
+    const auto full_sort = [&](bool fanout, std::size_t k) {
+        std::vector<Row> all;
+        for (std::size_t i = 0; i < dag.size(); ++i) {
+            all.emplace_back(dag.node(i).id,
+                             fanout ? dag.succs(i).size() : dag.preds(i).size());
+        }
+        std::sort(all.begin(), all.end(), [](const Row& a, const Row& b) {
+            if (a.second != b.second) return a.second > b.second;
+            return a.first < b.first;
+        });
+        all.resize(std::min(k, all.size()));
+        return all;
+    };
+    const std::size_t n = dag.size();
+    for (const std::size_t k : {std::size_t{0}, std::size_t{3}, n, n + 5}) {
+        const DagMetrics metrics = compute_metrics(dag, k);
+        EXPECT_EQ(rows(metrics.top_fanout), full_sort(true, k)) << "top_k " << k;
+        EXPECT_EQ(rows(metrics.top_fanin), full_sort(false, k)) << "top_k " << k;
+    }
+    const std::vector<Row> want{{"a", 3}, {"c", 3}, {"m", 3}};
+    EXPECT_EQ(rows(compute_metrics(dag, 3).top_fanout), want);
 }
 
 TEST(DagBudget, HardLimitFailsSoftLimitWarns) {

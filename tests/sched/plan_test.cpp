@@ -73,6 +73,23 @@ TEST(Plan, MakePlanPinsTheStoreCacheKeys) {
     verify_plan_keys(plan, digest);
 }
 
+TEST(Plan, GoldenKeysArePinned) {
+    // The keys name the shards of every existing store; a change to the
+    // key byte stream or to its hoisted prefix must fail here.
+    CampaignPlan shape;
+    shape.policy = "nominal";
+    shape.odd = "urban";
+    shape.seed = 1;
+    shape.fleets = 5000;
+    shape.hours_per_fleet = 100.0;
+    const CampaignPlan plan = make_plan(shape.policy, shape.odd,
+                                        config_from_plan(shape),
+                                        campaign_inputs_digest());
+    ASSERT_EQ(plan.nodes.size(), 5000u);
+    EXPECT_EQ(store::key_hex(plan.nodes.front().key), "f28d88c5696fc3f2");
+    EXPECT_EQ(store::key_hex(plan.nodes.back().key), "e8f72adfabc4b9b0");
+}
+
 TEST(Plan, WriteReadRoundTripIsExact) {
     const auto dir = plan_dir_for("roundtrip");
     // make_plan's contract: the names must be the ones config.base was

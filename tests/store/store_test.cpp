@@ -10,6 +10,7 @@
 #include <iterator>
 #include <set>
 #include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -193,6 +194,33 @@ TEST(CacheKey, DeterministicPureFunction) {
     const sim::FleetConfig base;
     EXPECT_EQ(fleet_cache_key(base, 100.0, 3, "digest"),
               fleet_cache_key(base, 100.0, 3, "digest"));
+}
+
+TEST(CacheKey, GoldenKeyIsPinned) {
+    // Every sealed shard in every existing store is named by this digest.
+    // A refactor that changes the byte stream must fail here, not orphan
+    // those shards while every other test still passes.
+    EXPECT_EQ(key_hex(fleet_cache_key(sim::FleetConfig{}, 100.0, 3, "digest")),
+              "64b68e56cdd7023d");
+}
+
+TEST(CacheKey, CampaignKeysMatchTheOneShotKey) {
+    // The hoisted prefix must finish to exactly the one-shot digest, for
+    // every fleet, config and inputs digest.
+    sim::FleetConfig other;
+    other.seed = 0xDEADBEEFCAFE1234ULL;
+    other.policy.speed_factor += 0.125;
+    other.odd.allow_snow = !other.odd.allow_snow;
+    for (const sim::FleetConfig& base : {sim::FleetConfig{}, other}) {
+        for (const std::string_view digest : {std::string_view("digest"),
+                                              std::string_view("")}) {
+            const CampaignKeys keys(base, 123.456, digest);
+            for (std::size_t i = 0; i < 1000; ++i) {
+                ASSERT_EQ(keys.fleet_key(i), fleet_cache_key(base, 123.456, i, digest))
+                    << "fleet " << i << ", digest '" << digest << "'";
+            }
+        }
+    }
 }
 
 TEST(CacheKey, EveryInputChangesTheKey) {
