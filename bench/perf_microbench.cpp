@@ -383,6 +383,30 @@ void BM_ServeClassify(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeClassify)->Arg(512)->Arg(4096)->UseRealTime();
 
+/// Keying a campaign: make_plan computes the content key of each of
+/// range(0) fleets against the catalog digest the CLI uses. A key is the
+/// shared prefix state plus the fleet index, finished by one lookup into
+/// the campaign's folded digest tail; the fold is a one-time cost per
+/// campaign that dominates the 1000-fleet row. Hashing the digest once per
+/// fleet again shows as a jump in both rows. BM_SchedDispatch below builds
+/// its plan outside the timed loop and would not see it.
+void BM_MakePlan(benchmark::State& state) {
+    sched::CampaignPlan shape;
+    shape.policy = "nominal";
+    shape.odd = "urban";
+    shape.seed = 11;
+    shape.fleets = static_cast<std::uint64_t>(state.range(0));
+    shape.hours_per_fleet = 50.0;
+    const sim::CampaignConfig config = sched::config_from_plan(shape);
+    const std::string digest = sched::campaign_inputs_digest();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            sched::make_plan(shape.policy, shape.odd, config, digest));
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_MakePlan)->Arg(1000)->Arg(100000);
+
 /// The distributed coordinator's per-campaign scheduling overhead: compile
 /// a range(0)-fleet campaign into its work DAG (content keys, topo order,
 /// critical-path levels, budget metrics) and drain the ready queue in

@@ -1,5 +1,7 @@
 #include "exec/parallel.h"
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <exception>
 #include <memory>
@@ -94,9 +96,13 @@ void parallel_for(unsigned jobs, std::size_t count,
         }
         return;
     }
+    // `jobs` caps concurrency: min(jobs, chunks) runner tasks, each
+    // claiming chunk indices in order from one shared counter until none
+    // is left. Pool threads beyond that take no part in this call.
+    const std::size_t runners = std::min<std::size_t>(jobs, chunks.size());
     if (metrics) {
         obs::add_counter("exec.chunks_executed", chunks.size());
-        obs::add_counter("exec.tasks_submitted", chunks.size());
+        obs::add_counter("exec.tasks_submitted", runners);
     }
 
     // Completion state lives on THIS stack frame, and workers reach it
@@ -112,43 +118,43 @@ void parallel_for(unsigned jobs, std::size_t count,
     // inspecting the rethrown copy - synchronized only by uninstrumented
     // libstdc++ refcounts, which ThreadSanitizer flagged intermittently.)
     struct Completion {
+        const std::vector<ChunkRange>* chunks = nullptr;
+        std::atomic<std::size_t> next_chunk{0};
         std::vector<std::exception_ptr> errors;
         std::mutex mutex;
         std::condition_variable done;
         std::size_t remaining = 0;
     };
     Completion state;
+    state.chunks = &chunks;
     state.errors.resize(chunks.size());
-    state.remaining = chunks.size();
+    state.remaining = runners;
 
-    // One chunk's unit of work, tied to the completion state by its
+    // One runner's unit of work, tied to the completion state by its
     // DESTRUCTOR, not by its body: the decrement fires only once the pool
-    // worker has fully torn the task down (body returned, the caught
-    // exception stored, the chunk's turn at the shared block over). So
-    // `remaining == 0` means "no submitted task will ever touch the
-    // completion state or `body` again" - the quiesce that lets this frame
-    // safely rethrow the stored exceptions and unwind.
-    struct ChunkTask {
+    // worker has fully torn the task down (every claimed chunk run, each
+    // caught exception stored, the runner's turn at the shared block
+    // over). So `remaining == 0` means "no submitted task will ever touch
+    // the completion state or `body` again" - the quiesce that lets this
+    // frame safely rethrow the stored exceptions and unwind.
+    struct RunnerTask {
         Completion* state;
         const std::function<void(const ChunkRange&)>* body;
-        ChunkRange chunk;
         std::uint64_t enqueue_ns;
         bool metrics;
 
-        ChunkTask(Completion* state_in,
-                  const std::function<void(const ChunkRange&)>* body_in,
-                  const ChunkRange& chunk_in, std::uint64_t enqueue_ns_in,
-                  bool metrics_in)
+        RunnerTask(Completion* state_in,
+                   const std::function<void(const ChunkRange&)>* body_in,
+                   std::uint64_t enqueue_ns_in, bool metrics_in)
             : state(state_in),
               body(body_in),
-              chunk(chunk_in),
               enqueue_ns(enqueue_ns_in),
               metrics(metrics_in) {}
 
-        ChunkTask(const ChunkTask&) = delete;
-        ChunkTask& operator=(const ChunkTask&) = delete;
+        RunnerTask(const RunnerTask&) = delete;
+        RunnerTask& operator=(const RunnerTask&) = delete;
 
-        ~ChunkTask() {
+        ~RunnerTask() {
             // Notify while holding the lock: the waiter may return from
             // wait() as soon as it observes remaining == 0, which it can
             // only do after we release the mutex - i.e. strictly after
@@ -164,41 +170,45 @@ void parallel_for(unsigned jobs, std::size_t count,
                 obs::record_timer("exec.task_wait_ns",
                                   obs::now_ns() - enqueue_ns);
             }
-            try {
-                const obs::ScopedTimer timer("exec.chunk_ns");
-                (*body)(chunk);
-            } catch (...) {
-                state->errors[chunk.index] = std::current_exception();
+            const std::vector<ChunkRange>& chunks = *state->chunks;
+            for (std::size_t c = state->next_chunk++; c < chunks.size();
+                 c = state->next_chunk++) {
+                try {
+                    const obs::ScopedTimer timer("exec.chunk_ns");
+                    (*body)(chunks[c]);
+                } catch (...) {
+                    state->errors[c] = std::current_exception();
+                }
             }
         }
     };
 
     auto& pool = ThreadPool::shared();
-    // Chunks whose decrement is owned by a constructed ChunkTask. A task
+    // Runners whose decrement is owned by a constructed RunnerTask. A task
     // destroyed without ever running (its submit() threw after the task
     // existed) still decrements, so the accounting holds on every path.
     std::size_t accounted = 0;
     try {
-        for (const auto& chunk : chunks) {
-            if (detail::g_submit_fault) detail::g_submit_fault(chunk.index);
+        for (std::size_t r = 0; r < runners; ++r) {
+            if (detail::g_submit_fault) detail::g_submit_fault(r);
             const std::uint64_t enqueue_ns = metrics ? obs::now_ns() : 0;
             // shared_ptr only to satisfy std::function's copyability; the
             // dtor - and therefore the decrement - still runs exactly once.
-            auto task = std::make_shared<ChunkTask>(&state, &body, chunk,
-                                                    enqueue_ns, metrics);
+            auto task =
+                std::make_shared<RunnerTask>(&state, &body, enqueue_ns, metrics);
             ++accounted;
             pool.submit([task] { task->run(); });
         }
     } catch (...) {
-        // Submission failed mid-loop. Chunks that never got a task will
+        // Submission failed mid-loop. Runners that never got a task will
         // not decrement; take their share off ourselves, then wait for
-        // every constructed task to be destroyed - which drains the ones
-        // that were queued, so neither the caller-owned `body` nor this
+        // every constructed task to be destroyed - the queued runners
+        // drain every chunk, so neither the caller-owned `body` nor this
         // frame's state is referenced after it unwinds - then surface the
         // failure.
         {
             std::unique_lock<std::mutex> lock(state.mutex);
-            state.remaining -= chunks.size() - accounted;
+            state.remaining -= runners - accounted;
             state.done.wait(lock, [&] { return state.remaining == 0; });
         }
         throw;

@@ -26,8 +26,8 @@
 namespace qrn::exec {
 
 namespace detail {
-/// Test seam: invoked with the chunk index right before each task
-/// submission inside parallel_for. A hook that throws simulates
+/// Test seam: invoked with the runner index right before each runner
+/// task submission inside parallel_for. A hook that throws simulates
 /// ThreadPool::submit failing mid-loop (e.g. the pool stopping), which is
 /// how the unwind-safety regression tests drive that path
 /// deterministically. Pass nullptr to restore production behaviour.
@@ -55,7 +55,10 @@ struct ChunkRange {
 
 /// Runs `body` over [0, count) split into the chunk_ranges decomposition.
 /// jobs <= 1 (or nesting inside a pool worker) runs serially in the
-/// calling thread, in chunk order. Blocks until every chunk is done.
+/// calling thread, in chunk order. Otherwise min(jobs, chunks) runner
+/// tasks on the shared pool claim chunks in index order, so at most
+/// `jobs` chunks run at once whatever the pool's width. Blocks until
+/// every chunk is done.
 void parallel_for(unsigned jobs, std::size_t count,
                   const std::function<void(const ChunkRange&)>& body);
 

@@ -33,6 +33,18 @@ double Value::as_number() const {
     return std::get<double>(data_);
 }
 
+std::int64_t Value::as_integer() const {
+    constexpr double kExactLimit = 9007199254740992.0;  // 2^53
+    const double x = as_number();
+    if (!(std::fabs(x) <= kExactLimit) || std::trunc(x) != x) {
+        char text[32] = {};
+        std::snprintf(text, sizeof text, "%.17g", x);
+        throw std::runtime_error(std::string("json: number ") + text +
+                                 " is not an integer within +-2^53");
+    }
+    return static_cast<std::int64_t>(x);
+}
+
 const std::string& Value::as_string() const {
     if (!is_string()) kind_error("a string");
     return std::get<std::string>(data_);

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -45,6 +46,10 @@ public:
     /// Typed accessors; throw std::runtime_error on kind mismatch.
     [[nodiscard]] bool as_bool() const;
     [[nodiscard]] double as_number() const;
+    /// The number as an integer; throws std::runtime_error unless it is
+    /// integral with |x| <= 2^53, the range a double holds exactly. Callers
+    /// narrowing further check their own range.
+    [[nodiscard]] std::int64_t as_integer() const;
     [[nodiscard]] const std::string& as_string() const;
     [[nodiscard]] const Array& as_array() const;
     [[nodiscard]] const Object& as_object() const;

@@ -56,7 +56,13 @@ RiskNorm risk_norm_from_json(const json::Value& value) {
         c.id = entry.at("id").as_string();
         c.name = entry.at("name").as_string();
         c.domain = domain_from_string(entry.at("domain").as_string());
-        c.rank = static_cast<int>(entry.at("rank").as_number());
+        const std::int64_t rank = entry.at("rank").as_integer();
+        if (rank < std::numeric_limits<int>::min() ||
+            rank > std::numeric_limits<int>::max()) {
+            throw std::runtime_error("risk_norm_from_json: rank " +
+                                     std::to_string(rank) + " does not fit an int");
+        }
+        c.rank = static_cast<int>(rank);
         c.example = entry.contains("example") ? entry.at("example").as_string() : "";
         classes.push_back(std::move(c));
         limits.push_back(Frequency::per_hour(entry.at("limit_per_hour").as_number()));

@@ -31,6 +31,13 @@ private:
 
 }  // namespace
 
+void Dag::reserve(std::size_t nodes) {
+    nodes_.reserve(nodes);
+    ids_.reserve(nodes);
+    succs_.reserve(nodes);
+    preds_.reserve(nodes);
+}
+
 std::size_t Dag::add_node(std::string id, double weight) {
     if (built_) throw SchedError("Dag::add_node: graph is already built");
     if (id.empty()) throw SchedError("Dag::add_node: node id must not be empty");

@@ -51,6 +51,10 @@ struct DagNode {
 /// aggregate hub), up to the 100003-node budget the CLI accepts.
 class Dag {
 public:
+    /// Sizes the node tables for `nodes` nodes in total, so adding them
+    /// neither reallocates nor rehashes. Optional; never changes results.
+    void reserve(std::size_t nodes);
+
     /// Adds a node and returns its index. Ids must be unique and
     /// non-empty; weight must be finite and >= 0.
     std::size_t add_node(std::string id, double weight = 1.0);

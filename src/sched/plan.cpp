@@ -20,11 +20,13 @@ constexpr std::string_view kPlanKind = "qrn.sched.plan";
 constexpr int kPlanSchemaVersion = 1;
 
 std::uint64_t plan_u64(const qrn::json::Value& value, const std::string& what) {
-    if (!value.is_number() || value.as_number() < 0) {
-        throw SchedError("campaign plan field '" + what +
-                         "' is not a non-negative number");
+    try {
+        const std::int64_t n = value.as_integer();
+        if (n >= 0) return static_cast<std::uint64_t>(n);
+    } catch (const std::runtime_error& e) {
+        throw SchedError("campaign plan field '" + what + "': " + e.what());
     }
-    return static_cast<std::uint64_t>(value.as_number());
+    throw SchedError("campaign plan field '" + what + "' is negative");
 }
 
 }  // namespace
@@ -243,6 +245,7 @@ std::optional<CampaignPlan> read_plan(const std::string& store_dir) {
 
 Dag build_campaign_dag(const CampaignPlan& plan) {
     Dag dag;
+    dag.reserve(plan.nodes.size() + 3);
     const std::size_t generate = dag.add_node(std::string(kGenerateNode), 1.0);
     const std::size_t aggregate = dag.add_node(std::string(kAggregateNode), 1.0);
     const std::size_t verify = dag.add_node(std::string(kVerifyNode), 1.0);

@@ -1,5 +1,6 @@
 #include "store/cache_key.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "store/format.h"
@@ -41,10 +42,12 @@ void KeyHasher::mix_string(std::string_view text) noexcept {
     mix_bytes(text);
 }
 
-CampaignKeys::CampaignKeys(const sim::FleetConfig& base, double hours_per_fleet,
-                           std::string_view inputs_digest)
-    : inputs_digest_(inputs_digest) {
-    KeyHasher& h = prefix_;
+namespace {
+
+/// The bytes every fleet of a campaign opens with: salt, base config,
+/// base seed, hours_per_fleet.
+KeyHasher campaign_prefix(const sim::FleetConfig& base, double hours_per_fleet) {
+    KeyHasher h;
     h.mix_string(kKeySalt);
 
     // Odd.
@@ -110,19 +113,46 @@ CampaignKeys::CampaignKeys(const sim::FleetConfig& base, double hours_per_fleet,
     h.mix_u64(base.seed);
 
     h.mix_f64(hours_per_fleet);
+    return h;
+}
+
+}  // namespace
+
+CampaignKeys::CampaignKeys(const sim::FleetConfig& base, double hours_per_fleet,
+                           std::string_view inputs_digest)
+    : prefix_(campaign_prefix(base, hours_per_fleet)) {
+    // The tail is mix_string(inputs_digest): 8 little-endian length bytes,
+    // then the digest. Fold it into every possible low byte, 8 low bytes
+    // at a time: their chains are independent, so 8 of them in registers
+    // keep the multiplier busy while each waits on its own product.
+    const std::uint64_t length = inputs_digest.size();
+    for (std::size_t first = 0; first < tail_of_low_byte_.size(); first += 8) {
+        std::array<std::uint64_t, 8> lanes{};
+        for (std::size_t k = 0; k < lanes.size(); ++k) lanes[k] = first + k;
+        const auto fold = [&lanes](std::uint64_t byte) {
+            for (std::uint64_t& lane : lanes) lane = (lane ^ byte) * kFnvPrime;
+        };
+        for (int shift = 0; shift < 64; shift += 8) fold((length >> shift) & 0xFFu);
+        for (const char c : inputs_digest) fold(static_cast<unsigned char>(c));
+        std::copy(lanes.begin(), lanes.end(), tail_of_low_byte_.begin() + first);
+    }
+    for (std::size_t i = 0; i < 8 + inputs_digest.size(); ++i) tail_scale_ *= kFnvPrime;
 }
 
 std::uint64_t CampaignKeys::fleet_key(std::size_t fleet_index) const noexcept {
     KeyHasher h = prefix_;
     h.mix_u64(fleet_index);
-    h.mix_string(inputs_digest_);
-    return h.digest();
+    const std::uint64_t s = h.digest();
+    return (s & ~std::uint64_t{0xFF}) * tail_scale_ + tail_of_low_byte_[s & 0xFFu];
 }
 
 std::uint64_t fleet_cache_key(const sim::FleetConfig& base, double hours_per_fleet,
                               std::size_t fleet_index,
                               std::string_view inputs_digest) {
-    return CampaignKeys(base, hours_per_fleet, inputs_digest).fleet_key(fleet_index);
+    KeyHasher h = campaign_prefix(base, hours_per_fleet);
+    h.mix_u64(fleet_index);
+    h.mix_string(inputs_digest);
+    return h.digest();
 }
 
 std::string key_hex(std::uint64_t key) {

@@ -11,6 +11,7 @@
 // invalidates every old key instead of colliding with it.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -38,12 +39,24 @@ private:
     std::uint64_t state_ = 14695981039346656037ULL;  ///< FNV offset basis.
 };
 
-/// The cache keys of one campaign's fleets. Every fleet's byte stream
-/// opens with the same fields (salt, base config, base seed,
-/// hours_per_fleet), so the constructor hashes them once and fleet_key()
-/// finishes a copy of that state with the fleet index and the inputs
-/// digest. Build one per campaign and ask it for every fleet; fleet_key()
-/// only reads, so pool workers may share one instance.
+/// The cache keys of one campaign's fleets, each in constant time. A
+/// fleet's byte stream is a prefix shared by every fleet (salt, base
+/// config, base seed, hours_per_fleet), the fleet index, and a tail shared
+/// by every fleet (the inputs digest, length-prefixed). The constructor
+/// hashes the prefix once and folds the tail once; fleet_key() copies the
+/// prefix state, mixes the 8 index bytes and applies the folded tail.
+///
+/// Why the tail folds: one FNV-1a step s -> (s ^ b) * P changes only the
+/// low byte with its xor, and the low byte of the product depends only on
+/// the low byte of s. So folding a fixed n-byte tail into any state s,
+/// split as s = h + r with r = s & 0xFF, gives h * P^n + fold(r)
+/// (mod 2^64): the high bits are only ever multiplied. The constructor
+/// folds all 256 low bytes, 8 side by side, a one-time 256 x (8 + |digest|)
+/// steps (172544 for the 666-byte catalog digest), and keeps P^n and
+/// fold(r); fleet_key() never loops over the digest.
+///
+/// Build one per campaign and ask it for every fleet; fleet_key() only
+/// reads, so pool workers may share one instance.
 class CampaignKeys {
 public:
     CampaignKeys(const sim::FleetConfig& base, double hours_per_fleet,
@@ -53,14 +66,16 @@ public:
 
 private:
     KeyHasher prefix_;
-    std::string inputs_digest_;
+    std::uint64_t tail_scale_ = 1;  ///< P^n for the n-byte tail.
+    std::array<std::uint64_t, 256> tail_of_low_byte_{};  ///< fold(r), r < 256.
 };
 
 /// The cache key of fleet `fleet_index` of a campaign: digest of
-/// (base config, hours_per_fleet, base seed, fleet index, inputs_digest).
-/// Pure in its arguments; independent of --jobs and of scheduling. Equal
-/// to CampaignKeys(base, hours_per_fleet, inputs_digest).fleet_key(i),
-/// which is the cheaper way to key many fleets of one campaign.
+/// (base config, hours_per_fleet, base seed, fleet index, inputs_digest),
+/// hashed byte by byte. Pure in its arguments; independent of --jobs and
+/// of scheduling. This is the key's definition, and CampaignKeys must
+/// reproduce it for every fleet; CampaignKeys is the cheap way to key
+/// many fleets of one campaign.
 [[nodiscard]] std::uint64_t fleet_cache_key(const sim::FleetConfig& base,
                                             double hours_per_fleet,
                                             std::size_t fleet_index,

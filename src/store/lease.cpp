@@ -129,10 +129,15 @@ std::optional<Lease> read_lease(const std::string& dir, const std::string& node)
             doc.at("node").as_string() != node) {
             throw std::runtime_error("wrong kind or node");
         }
+        const auto count = [&doc](const std::string& field) {
+            const std::int64_t n = doc.at(field).as_integer();
+            if (n < 0) throw std::runtime_error(field + " is negative");
+            return static_cast<std::uint64_t>(n);
+        };
         lease.owner = doc.at("owner").as_string();
-        lease.acquired_ms = static_cast<std::uint64_t>(doc.at("acquired_ms").as_number());
-        lease.ttl_ms = static_cast<std::uint64_t>(doc.at("ttl_ms").as_number());
-        lease.generation = static_cast<std::uint64_t>(doc.at("generation").as_number());
+        lease.acquired_ms = count("acquired_ms");
+        lease.ttl_ms = count("ttl_ms");
+        lease.generation = count("generation");
     } catch (const std::exception&) {
         // A lease that cannot be parsed was written outside the atomic
         // protocol (or hand-damaged). Correctness never depends on lease

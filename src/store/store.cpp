@@ -19,12 +19,17 @@ constexpr std::string_view kManifestName = "manifest.json";
 
 /// Fleet indices and record counts live in JSON numbers (doubles); both
 /// are bounded far below 2^53 in practice, so the round trip is exact.
+/// A fraction, a negative or an out-of-range number is a damaged row.
 std::uint64_t entry_u64(const json::Value& value, const std::string& what) {
-    if (!value.is_number() || value.as_number() < 0) {
+    try {
+        const std::int64_t n = value.as_integer();
+        if (n >= 0) return static_cast<std::uint64_t>(n);
+    } catch (const std::runtime_error& e) {
         throw StoreError(StoreErrorKind::Inconsistent,
-                         "manifest field '" + what + "' is not a non-negative number");
+                         "manifest field '" + what + "': " + e.what());
     }
-    return static_cast<std::uint64_t>(value.as_number());
+    throw StoreError(StoreErrorKind::Inconsistent,
+                     "manifest field '" + what + "' is negative");
 }
 
 }  // namespace

@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -128,37 +130,37 @@ public:
 
 TEST(ParallelFor, SubmitFailureMidLoopDrainsSubmittedChunksThenRethrows) {
     // Regression test for the unwind-safety bug: when submit() throws
-    // mid-loop (a pool shutting down), the chunks already queued keep
-    // running while parallel_for's frame unwinds. The completion state
-    // they touch must therefore outlive the frame, and parallel_for must
-    // wait for them before rethrowing so the caller-owned body stays
+    // mid-loop (a pool shutting down), the runner tasks already queued
+    // keep running while parallel_for's frame unwinds. The completion
+    // state they touch must therefore outlive the frame, and parallel_for
+    // must wait for them before rethrowing so the caller-owned body stays
     // valid. ASan/TSan runs of this test pin the use-after-scope.
-    constexpr std::size_t kFaultChunk = 3;
-    std::atomic<std::size_t> indices_run{0};
-    const auto chunks = chunk_ranges(2, 80);
-    ASSERT_GT(chunks.size(), kFaultChunk + 1);
+    constexpr unsigned kJobs = 4;
+    constexpr std::size_t kFaultRunner = 2;
+    std::vector<std::atomic<int>> visits(80);
+    ASSERT_GT(chunk_ranges(kJobs, visits.size()).size(), kJobs);
 
-    const SubmitFaultGuard guard([](std::size_t chunk_index) {
-        if (chunk_index == kFaultChunk) {
+    const SubmitFaultGuard guard([](std::size_t runner_index) {
+        if (runner_index == kFaultRunner) {
             throw std::runtime_error("submit fault");
         }
     });
     try {
-        parallel_for(2, 80, [&](const ChunkRange& chunk) {
-            indices_run.fetch_add(chunk.end - chunk.begin);
+        parallel_for(kJobs, visits.size(), [&](const ChunkRange& chunk) {
+            for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
+                visits[i].fetch_add(1);
+            }
         });
         FAIL() << "expected the submit fault to propagate";
     } catch (const std::runtime_error& error) {
         EXPECT_STREQ(error.what(), "submit fault");
     }
-    // Exactly the chunks submitted before the fault ran - no more (the
-    // faulted chunk and its successors were never queued), no fewer (the
-    // drain completed before rethrow).
-    std::size_t expected = 0;
-    for (std::size_t c = 0; c < kFaultChunk; ++c) {
-        expected += chunks[c].end - chunks[c].begin;
+    // The runners queued before the fault claim chunks until none is
+    // left, so every index ran exactly once, and all of it before the
+    // rethrow (the drain completed first).
+    for (std::size_t i = 0; i < visits.size(); ++i) {
+        EXPECT_EQ(visits[i].load(), 1) << "index " << i;
     }
-    EXPECT_EQ(indices_run.load(), expected);
 }
 
 TEST(ParallelFor, SubmitFailureOnFirstChunkRunsNothing) {
@@ -171,6 +173,26 @@ TEST(ParallelFor, SubmitFailureOnFirstChunkRunsNothing) {
                               }),
                  std::runtime_error);
     EXPECT_EQ(indices_run.load(), 0u);
+}
+
+TEST(ParallelFor, RunsAtMostJobsChunksAtOnce) {
+    // jobs caps concurrency whatever the shared pool's width: at most
+    // `jobs` chunk bodies are in flight at any moment. Each chunk holds
+    // its slot for a while so that any excess runner would overlap.
+    for (const unsigned jobs : {2u, 3u}) {
+        std::atomic<int> running{0};
+        std::atomic<int> peak{0};
+        parallel_for(jobs, 64, [&](const ChunkRange&) {
+            const int now = running.fetch_add(1) + 1;
+            int seen = peak.load();
+            while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            running.fetch_sub(1);
+        });
+        EXPECT_GE(peak.load(), 1) << "jobs=" << jobs;
+        EXPECT_LE(peak.load(), static_cast<int>(jobs)) << "jobs=" << jobs;
+    }
 }
 
 TEST(ParallelFor, NestedCallsFallBackToSerialWithoutDeadlock) {

@@ -23,6 +23,28 @@ TEST(JsonValue, KindsAndAccessors) {
     EXPECT_THROW(Value("x").as_number(), std::runtime_error);
 }
 
+TEST(JsonValue, AsIntegerAcceptsOnlyExactIntegers) {
+    constexpr double kTwoTo53 = 9007199254740992.0;
+    EXPECT_EQ(Value(0.0).as_integer(), 0);
+    EXPECT_EQ(Value(-0.0).as_integer(), 0);
+    EXPECT_EQ(Value(42.0).as_integer(), 42);
+    EXPECT_EQ(Value(-7.0).as_integer(), -7);
+    EXPECT_EQ(Value(kTwoTo53).as_integer(), 9007199254740992LL);
+    EXPECT_EQ(Value(-kTwoTo53).as_integer(), -9007199254740992LL);
+    EXPECT_EQ(parse("100000").as_integer(), 100000);
+    // Fractions, values past 2^53 (where doubles skip integers) and
+    // anything an int64 cannot hold are refused, never truncated.
+    for (const char* text : {"1.5", "-0.5", "1e300", "-1e300",
+                             "18446744073709551616", "9007199254740994"}) {
+        EXPECT_THROW((void)parse(text).as_integer(), std::runtime_error) << text;
+    }
+    EXPECT_THROW((void)Value(std::numeric_limits<double>::quiet_NaN()).as_integer(),
+                 std::runtime_error);
+    EXPECT_THROW((void)Value(std::numeric_limits<double>::infinity()).as_integer(),
+                 std::runtime_error);
+    EXPECT_THROW((void)Value("1").as_integer(), std::runtime_error);
+}
+
 TEST(JsonValue, ObjectLookup) {
     const Value obj(Object{{"a", Value(1.0)}, {"b", Value("two")}});
     EXPECT_DOUBLE_EQ(obj.at("a").as_number(), 1.0);

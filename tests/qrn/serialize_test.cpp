@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -31,6 +32,19 @@ TEST(RiskNormJson, RejectsWrongKind) {
     EXPECT_THROW(risk_norm_from_json(json::parse(R"({"kind":"other"})")),
                  std::runtime_error);
     EXPECT_THROW(risk_norm_from_json(json::parse("{}")), std::runtime_error);
+}
+
+TEST(RiskNormJson, RejectsARankThatIsNotAnInt) {
+    // 1.5 used to load as rank 1, and the others went through an
+    // undefined double -> int cast.
+    const std::string doc = to_json(RiskNorm::paper_example()).dump();
+    const auto pos = doc.find("\"rank\":1,");
+    ASSERT_NE(pos, std::string::npos);
+    for (const std::string rank : {"1.5", "1e300", "18446744073709551616", "4294967296"}) {
+        std::string bad = doc;
+        bad.replace(pos, 9, "\"rank\":" + rank + ",");
+        EXPECT_THROW(risk_norm_from_json(json::parse(bad)), std::runtime_error) << rank;
+    }
 }
 
 TEST(RiskNormJson, ParsedNormStillValidatesInvariants) {

@@ -5,7 +5,10 @@
 // round trip must be exact to the bit.
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -138,6 +141,30 @@ TEST(Plan, MalformedPlanThrowsSchedError) {
         out << "{\"kind\": \"qrn.evidence\"}\n";  // wrong document kind
     }
     EXPECT_THROW(read_plan(dir), SchedError);
+}
+
+TEST(Plan, NonIntegerFleetIndexIsMalformed) {
+    // Each of these used to load silently: 1e300 and 2^64 as fleet 0
+    // through an undefined cast, 1.5 as fleet 1.
+    const auto dir = plan_dir_for("non_integer");
+    const auto config = example_config();
+    write_plan(dir, make_plan("nominal", "urban", config, campaign_inputs_digest()));
+    std::ifstream in(plan_path(dir));
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"\"fleet_index\": 0,", "\"fleet_index\": 1e300,"},
+        {"\"fleet_index\": 0,", "\"fleet_index\": 18446744073709551616,"},
+        {"\"fleet_index\": 1,", "\"fleet_index\": 1.5,"},
+    };
+    for (const auto& [good, bad] : cases) {
+        const auto pos = text.find(good);
+        ASSERT_NE(pos, std::string::npos) << good;
+        std::string damaged = text;
+        damaged.replace(pos, good.size(), bad);
+        std::ofstream(plan_path(dir), std::ios::trunc) << damaged;
+        EXPECT_THROW((void)read_plan(dir), SchedError) << bad;
+    }
 }
 
 TEST(Plan, KeySkewIsRefused) {

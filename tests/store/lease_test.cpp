@@ -106,6 +106,30 @@ TEST(Lease, MalformedFileReadsAsAlwaysStealable) {
     EXPECT_EQ(healed->owner, "healer");
 }
 
+TEST(Lease, NonIntegerNumbersReadAsMalformed) {
+    // A lease number that is not a non-negative integer a double holds
+    // exactly is as damaged as a torn file: stealable, not a live claim
+    // that an undefined cast happened to produce.
+    const auto dir = lease_dir_for("numbers");
+    for (const std::string field : {"acquired_ms", "ttl_ms", "generation"}) {
+        for (const std::string bad : {"1e300", "1.5", "18446744073709551616", "-1"}) {
+            const auto value = [&](const std::string& name, const std::string& fine) {
+                return name == field ? bad : fine;
+            };
+            {
+                std::ofstream out(store::lease_path(dir, "n"), std::ios::trunc);
+                out << "{\"kind\": \"qrn.lease\", \"node\": \"n\", \"owner\": \"w\", "
+                    << "\"acquired_ms\": " << value("acquired_ms", "1000")
+                    << ", \"ttl_ms\": " << value("ttl_ms", "60000")
+                    << ", \"generation\": " << value("generation", "1") << "}";
+            }
+            const auto lease = store::read_lease(dir, "n");
+            ASSERT_TRUE(lease.has_value());
+            EXPECT_EQ(lease->owner, "<malformed>") << field << " = " << bad;
+        }
+    }
+}
+
 TEST(Lease, AcquireLeavesNoTempFilesBehind) {
     const auto dir = lease_dir_for("no_temps");
     ASSERT_TRUE(store::try_acquire_lease(dir, make_lease("a", "o", 60000, 1)));

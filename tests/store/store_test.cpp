@@ -8,12 +8,16 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <numeric>
 #include <set>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "qrn/incident_type.h"
+#include "qrn/serialize.h"
 #include "sim/fleet.h"
 #include "store/cache_key.h"
 #include "store/format.h"
@@ -162,6 +166,31 @@ TEST(Store, RejectsManifestEscapingTheDirectory) {
     }
 }
 
+TEST(Store, RejectsManifestNumbersThatAreNotCounts) {
+    // 1e300 and 2^64 used to load as fleet 0 through an undefined cast,
+    // and 1.5 as fleet 1; each is a damaged row.
+    for (const std::string field : {"fleet_index", "records"}) {
+        for (const std::string bad : {"1e300", "1.5", "18446744073709551616", "-1"}) {
+            const std::string dir = fresh_dir("count");
+            std::filesystem::create_directories(dir);
+            write_text(dir + "/manifest.json",
+                       "{\"kind\": \"qrn.store\", \"schema_version\": 1, \"shards\": "
+                       "[{\"fleet_index\": " + (field == "fleet_index" ? bad : "0") +
+                           ", \"file\": \"fleet-00000-0000000000000001.qrs\", \"key\": "
+                           "\"0000000000000001\", \"records\": " +
+                           (field == "records" ? bad : "0") +
+                           ", \"exposure_hours\": 1.0}]}");
+            try {
+                const Store store(dir);
+                ADD_FAILURE() << "expected StoreError for " << field << " = " << bad;
+            } catch (const StoreError& error) {
+                EXPECT_EQ(error.kind(), StoreErrorKind::Inconsistent)
+                    << field << " = " << bad;
+            }
+        }
+    }
+}
+
 TEST(Store, StrayTempFilesAreReportedSorted) {
     const std::string dir = fresh_dir("stray");
     Store store(dir);
@@ -205,19 +234,31 @@ TEST(CacheKey, GoldenKeyIsPinned) {
 }
 
 TEST(CacheKey, CampaignKeysMatchTheOneShotKey) {
-    // The hoisted prefix must finish to exactly the one-shot digest, for
-    // every fleet, config and inputs digest.
+    // fleet_cache_key hashes every byte; CampaignKeys folds the digest
+    // tail once per campaign and looks it up per fleet. They must agree
+    // for every fleet, config and inputs digest. 5000 fleets put about 20
+    // fleets through each of the 256 folded low bytes, and the extreme
+    // indices set the high index bytes.
     sim::FleetConfig other;
     other.seed = 0xDEADBEEFCAFE1234ULL;
     other.policy.speed_factor += 0.125;
     other.odd.allow_snow = !other.odd.allow_snow;
+    // The catalog digest the CLI keys its campaigns with
+    // (sched::campaign_inputs_digest), and a digest of 5000 0xFF bytes.
+    const std::string catalog = to_json(IncidentTypeSet::paper_vru_example()).dump();
+    const std::string all_ones(5000, '\xff');
     for (const sim::FleetConfig& base : {sim::FleetConfig{}, other}) {
-        for (const std::string_view digest : {std::string_view("digest"),
-                                              std::string_view("")}) {
+        for (const std::string_view digest :
+             {std::string_view(""), std::string_view("digest"),
+              std::string_view(catalog), std::string_view(all_ones)}) {
             const CampaignKeys keys(base, 123.456, digest);
-            for (std::size_t i = 0; i < 1000; ++i) {
+            std::vector<std::size_t> fleets(5000);
+            std::iota(fleets.begin(), fleets.end(), std::size_t{0});
+            fleets.push_back(std::size_t{1} << 40);
+            fleets.push_back(SIZE_MAX);
+            for (const std::size_t i : fleets) {
                 ASSERT_EQ(keys.fleet_key(i), fleet_cache_key(base, 123.456, i, digest))
-                    << "fleet " << i << ", digest '" << digest << "'";
+                    << "fleet " << i << ", digest of " << digest.size() << " bytes";
             }
         }
     }
