@@ -4,20 +4,16 @@
 // interval estimation - plus serial-vs-parallel campaign runs on the
 // qrn_exec thread pool.
 //
-// Besides the normal console output, the run writes a machine-readable
-// baseline (name -> ns/op and items/s) to BENCH_perf.json in the working
-// directory (override the path with the QRN_BENCH_JSON environment
-// variable), so perf regressions can be diffed between commits: the
-// repo-root copy is the tracked baseline and CI gates every PR against it
-// with qrn-perfdiff (docs/OBSERVABILITY.md). A failed baseline write is a
-// hard error (non-zero exit) - a bench run whose evidence silently
-// vanishes is how the baseline went dead for three PRs.
+// A plain google-benchmark binary. Run with
+// `--benchmark_out=FILE --benchmark_out_format=json` it writes the
+// library's JSON report, which qrn-perfdiff reads: the repo-root
+// BENCH_perf.json is the tracked baseline in that format, and CI gates
+// every PR against it (docs/OBSERVABILITY.md). google-benchmark exits
+// non-zero when it cannot open the output file, so a lost measurement is
+// loud.
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <iostream>
 #include <string>
 #include <vector>
 
@@ -298,9 +294,8 @@ std::string shard_bench_path(const char* name) {
 }
 
 /// The one-pass evidence scan: every per-type count from a single sweep
-/// over the incident columns (count_matching_all), per record scanned.
-/// This is the path pooled_evidence and evidence_for take after the
-/// columnar refactor; the former per-type rescan cost K sweeps.
+/// over the log's rows (count_matching_all), per record scanned. This is
+/// the path evidence_for, pooled_evidence and aggregate_evidence take.
 void BM_EvidenceScan(benchmark::State& state) {
     const auto types = IncidentTypeSet::paper_vru_example();
     const auto log = shard_bench_log(static_cast<std::size_t>(state.range(0)));
@@ -441,76 +436,6 @@ void BM_SchedDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedDispatch)->Arg(100)->Arg(1000)->Arg(10000)->Arg(100000);
 
-/// Collects finished runs so a JSON baseline can be written after the
-/// console report. GetAdjustedRealTime() already folds in the per-
-/// iteration normalization google-benchmark applies for console output.
-class BaselineCollector : public benchmark::BenchmarkReporter {
-public:
-    bool ReportContext(const Context& context) override {
-        return console_.ReportContext(context);
-    }
-
-    void ReportRuns(const std::vector<Run>& runs) override {
-        console_.ReportRuns(runs);
-        for (const Run& run : runs) {
-            if (run.error_occurred) continue;
-            Entry entry;
-            entry.name = run.benchmark_name();
-            entry.ns_per_op = run.GetAdjustedRealTime();
-            const auto items = run.counters.find("items_per_second");
-            if (items != run.counters.end()) entry.items_per_second = items->second;
-            entries_.push_back(std::move(entry));
-        }
-    }
-
-    void Finalize() override { console_.Finalize(); }
-
-    /// Writes `{"benchmarks":[{"name":...,"ns_per_op":...},...]}`.
-    /// Returns false when the file cannot be created or the write fails;
-    /// main() turns that into a non-zero exit so a lost baseline is loud.
-    [[nodiscard]] bool write_json(const std::string& path) const {
-        std::ofstream out(path);
-        if (!out) {
-            std::cerr << "perf_microbench: cannot write " << path << '\n';
-            return false;
-        }
-        out << "{\n  \"benchmarks\": [\n";
-        for (std::size_t i = 0; i < entries_.size(); ++i) {
-            const Entry& e = entries_[i];
-            out << "    {\"name\": \"" << e.name << "\", \"ns_per_op\": " << e.ns_per_op;
-            if (e.items_per_second > 0.0) {
-                out << ", \"items_per_second\": " << e.items_per_second;
-            }
-            out << '}' << (i + 1 < entries_.size() ? "," : "") << '\n';
-        }
-        out << "  ]\n}\n";
-        out.flush();
-        if (!out.good()) {
-            std::cerr << "perf_microbench: write failed for " << path << '\n';
-            return false;
-        }
-        return true;
-    }
-
-private:
-    struct Entry {
-        std::string name;
-        double ns_per_op = 0.0;
-        double items_per_second = 0.0;
-    };
-
-    benchmark::ConsoleReporter console_;
-    std::vector<Entry> entries_;
-};
-
 }  // namespace
 
-int main(int argc, char** argv) {
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-    BaselineCollector collector;
-    benchmark::RunSpecifiedBenchmarks(&collector);
-    benchmark::Shutdown();
-    const char* path = std::getenv("QRN_BENCH_JSON");
-    return collector.write_json(path != nullptr ? path : "BENCH_perf.json") ? 0 : 1;
-}
+BENCHMARK_MAIN();

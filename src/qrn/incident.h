@@ -55,13 +55,13 @@ struct Incident {
     /// The counterparty actor.
     ActorType second = ActorType::Car;
     IncidentMechanism mechanism = IncidentMechanism::Collision;
+    /// True when ego is not a party but caused the incident (induced).
+    bool ego_causing_factor = false;
     /// Impact speed delta-v in km/h (collisions) or closing speed in km/h
     /// (near misses). Non-negative.
     double relative_speed_kmh = 0.0;
     /// Minimum separation in metres (near misses; 0 for collisions).
     double min_distance_m = 0.0;
-    /// True when ego is not a party but caused the incident (induced).
-    bool ego_causing_factor = false;
     /// Simulation timestamp (operational hours since fleet start); metadata.
     double timestamp_hours = 0.0;
 
@@ -69,7 +69,15 @@ struct Incident {
     [[nodiscard]] bool involves_ego() const noexcept {
         return first == ActorType::EgoVehicle || second == ActorType::EgoVehicle;
     }
+
+    friend bool operator==(const Incident&, const Incident&) = default;
 };
+
+// Logs hold incidents as plain rows (std::vector<Incident>). With the four
+// one-byte fields packed ahead of the three doubles a row is 32 bytes, 4
+// more than the store's 28-byte record; placing the flag after a double
+// would pad the struct to 40.
+static_assert(sizeof(Incident) == 32, "Incident rows must stay 32 bytes");
 
 /// Checks the structural invariants; throws std::invalid_argument with a
 /// description of the first violated one.

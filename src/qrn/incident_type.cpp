@@ -120,6 +120,18 @@ std::size_t IncidentTypeSet::match_count(const Incident& incident) const noexcep
     return n;
 }
 
+std::vector<std::uint64_t> count_matching_all(std::span<const Incident> incidents,
+                                              const IncidentTypeSet& types) {
+    const std::vector<IncidentType>& all = types.all();
+    std::vector<std::uint64_t> counts(all.size(), 0);
+    for (const Incident& incident : incidents) {
+        for (std::size_t k = 0; k < all.size(); ++k) {
+            if (all[k].matches(incident)) ++counts[k];
+        }
+    }
+    return counts;
+}
+
 IncidentTypeSet IncidentTypeSet::paper_vru_example() {
     return IncidentTypeSet({
         IncidentType("I1", ActorType::Vru, ToleranceMargin::proximity(1.0, 10.0),

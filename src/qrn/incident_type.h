@@ -11,7 +11,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -97,5 +99,11 @@ public:
 private:
     std::vector<IncidentType> types_;
 };
+
+/// Every per-type match count in one pass over the incidents: index k of
+/// the result counts the incidents matching types.at(k). Each record is
+/// read once however many types the norm carries.
+[[nodiscard]] std::vector<std::uint64_t> count_matching_all(
+    std::span<const Incident> incidents, const IncidentTypeSet& types);
 
 }  // namespace qrn

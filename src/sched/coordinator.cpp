@@ -30,6 +30,14 @@ namespace qrn::sched {
 
 namespace {
 
+/// Attached workers are this same binary, re-entered as `qrn sched worker`.
+constexpr const char* kWorkerBinary = "/proc/self/exe";
+/// "fail" replies (or "ok"s whose shard does not verify) one node may
+/// collect before the campaign errors out.
+constexpr unsigned kMaxNodeRetries = 2;
+/// Times one worker slot is respawned after its process dies.
+constexpr unsigned kMaxRespawnsPerWorker = 3;
+
 void declare_sched_metrics() {
     if (!obs::enabled()) return;
     obs::add_counter("sched.nodes_total", 0);
@@ -170,8 +178,7 @@ void close_fd(int& fd) {
     }
 }
 
-bool spawn_worker(const CoordinatorConfig& config, const ExecSpec& spec,
-                  WorkerProc& worker) {
+bool spawn_worker(const ExecSpec& spec, WorkerProc& worker) {
     int to_child[2] = {-1, -1};
     int from_child[2] = {-1, -1};
     if (::pipe(to_child) != 0) return false;
@@ -196,7 +203,7 @@ bool spawn_worker(const CoordinatorConfig& config, const ExecSpec& spec,
         ::close(to_child[1]);
         ::close(from_child[0]);
         ::close(from_child[1]);
-        ::execv(config.cli_path.c_str(), spec.argv.data());
+        ::execv(kWorkerBinary, spec.argv.data());
         ::_exit(127);
     }
     close_fd(to_child[0]);
@@ -338,7 +345,7 @@ CoordinatorStats run_coordinator(const CampaignPlan& plan, const Dag& dag,
     const ExecSpec spec(config);
     std::vector<WorkerProc> workers(config.workers);
     for (WorkerProc& worker : workers) {
-        if (spawn_worker(config, spec, worker)) {
+        if (spawn_worker(spec, worker)) {
             ++stats.workers_spawned;
             if (obs::enabled()) obs::add_counter("sched.workers_spawned", 1);
         }
@@ -357,30 +364,17 @@ CoordinatorStats run_coordinator(const CampaignPlan& plan, const Dag& dag,
                 continue;
             }
             const std::string id = plan_node_id(i);
-            const std::optional<store::Lease> current =
-                store::read_lease(leases, id);
-            std::uint64_t generation = 0;
-            if (!current) {
-                if (!store::try_acquire_lease(
-                        leases,
-                        store::Lease{id, owner, store::lease_now_ms(),
-                                     config.lease_ttl_ms, 1})) {
-                    continue;  // Someone else won the race; revisit later.
-                }
-                generation = 1;
-                ++stats.leases_acquired;
-                if (obs::enabled()) obs::add_counter("sched.leases_acquired", 1);
-            } else if (store::lease_expired(*current, store::lease_now_ms())) {
-                generation = current->generation + 1;
-                store::overwrite_lease(
-                    leases, store::Lease{id, owner, store::lease_now_ms(),
-                                         config.lease_ttl_ms, generation});
+            const std::optional<store::LeaseClaim> claim =
+                store::claim_lease(leases, id, owner, config.lease_ttl_ms);
+            if (!claim) continue;  // A live holder works on it; revisit later.
+            if (claim->stolen) {
                 ++stats.leases_stolen;
                 if (obs::enabled()) obs::add_counter("sched.leases_stolen", 1);
             } else {
-                continue;  // Live foreign lease: let its holder work.
+                ++stats.leases_acquired;
+                if (obs::enabled()) obs::add_counter("sched.leases_acquired", 1);
             }
-            board.track(id, generation);
+            board.track(id, claim->generation);
             state[i] = NodeState::Ready;
             ready.push(ReadyItem{i, priority[i], id});
         }
@@ -410,9 +404,9 @@ CoordinatorStats run_coordinator(const CampaignPlan& plan, const Dag& dag,
             requeue(*worker.in_flight);
             worker.in_flight.reset();
         }
-        if (worker.respawns < config.max_respawns_per_worker) {
+        if (worker.respawns < kMaxRespawnsPerWorker) {
             const unsigned next = worker.respawns + 1;
-            if (spawn_worker(config, spec, worker)) {
+            if (spawn_worker(spec, worker)) {
                 worker.respawns = next;
                 ++stats.worker_respawns;
                 ++stats.workers_spawned;
@@ -449,7 +443,7 @@ CoordinatorStats run_coordinator(const CampaignPlan& plan, const Dag& dag,
         }
         // "fail ..." or an "ok" whose shard does not verify: retry on
         // another slot, bounded.
-        if (++retries[*fleet] > config.max_node_retries) {
+        if (++retries[*fleet] > kMaxNodeRetries) {
             throw SchedError("run_coordinator: node " + std::string(id) +
                              " failed " + std::to_string(retries[*fleet]) +
                              " time(s); last reply: '" + std::string(line) +

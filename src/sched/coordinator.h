@@ -29,10 +29,6 @@ struct CoordinatorConfig {
     std::string store_dir;
     unsigned workers = 2;                ///< Attached worker processes.
     std::uint64_t lease_ttl_ms = 10000;  ///< Lease TTL; renewal at TTL/3.
-    std::string cli_path = "/proc/self/exe";  ///< Binary to exec workers from.
-    unsigned max_node_retries = 2;       ///< "fail" replies per node before
-                                         ///< the campaign errors out.
-    unsigned max_respawns_per_worker = 3;
 };
 
 /// What one coordinator run did (also mirrored into sched.* obs counters).

@@ -187,26 +187,14 @@ int run_standalone_worker(const WorkerOptions& options) {
             all_done = false;
 
             const std::string id = plan_node_id(i);
-            bool held = false;
-            const std::optional<store::Lease> current =
-                store::read_lease(leases, id);
-            if (!current) {
-                held = store::try_acquire_lease(
-                    leases, store::Lease{id, owner, store::lease_now_ms(),
-                                         options.lease_ttl_ms, 1});
-            } else if (store::lease_expired(*current, store::lease_now_ms())) {
-                // Steal: the holder died or stalled past its TTL. Two
-                // stealers racing here both run the node; duplicate
-                // execution is benign (deterministic bytes, atomic seal).
-                store::overwrite_lease(
-                    leases, store::Lease{id, owner, store::lease_now_ms(),
-                                         options.lease_ttl_ms,
-                                         current->generation + 1});
-                if (obs::enabled()) obs::add_counter("sched.leases_stolen", 1);
-                held = true;
+            const std::optional<store::LeaseClaim> claim =
+                store::claim_lease(leases, id, owner, options.lease_ttl_ms);
+            if (!claim) continue;
+            if (obs::enabled()) {
+                obs::add_counter(claim->stolen ? "sched.leases_stolen"
+                                               : "sched.leases_acquired",
+                                 1);
             }
-            if (!held) continue;
-            if (obs::enabled()) obs::add_counter("sched.leases_acquired", 1);
 
             if (fault_fires(fault_mid_lease, i)) {
                 // Crash while holding the lease: the file stays behind and

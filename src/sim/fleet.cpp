@@ -15,8 +15,6 @@ Frequency IncidentLog::incident_rate() const {
 }
 
 std::vector<TypeEvidence> IncidentLog::evidence_for(const IncidentTypeSet& types) const {
-    // One pass over the columns yields every per-type count at once; the
-    // former per-type count_matching loop rescanned the log K times.
     const std::vector<std::uint64_t> counts = count_matching_all(incidents, types);
     std::vector<TypeEvidence> out;
     out.reserve(types.size());
@@ -30,22 +28,14 @@ std::vector<TypeEvidence> IncidentLog::evidence_for(const IncidentTypeSet& types
     return out;
 }
 
-std::uint64_t IncidentLog::count_matching(const IncidentType& type) const {
-    std::uint64_t n = 0;
-    for (std::size_t i = 0; i < incidents.size(); ++i) {
-        if (type.matches(incidents[i])) ++n;
-    }
-    return n;
-}
-
 std::uint64_t IncidentLog::induced_count() const {
-    std::uint64_t n = 0;
-    for (const std::uint8_t flag : incidents.induced_flags()) n += flag;
-    return n;
+    return static_cast<std::uint64_t>(
+        std::count_if(incidents.begin(), incidents.end(),
+                      [](const Incident& incident) { return incident.ego_causing_factor; }));
 }
 
 void IncidentLog::merge(IncidentLog&& other) {
-    incidents.append(other.incidents);
+    incidents.insert(incidents.end(), other.incidents.begin(), other.incidents.end());
     exposure += other.exposure;
     encounters += other.encounters;
     emergency_brakings += other.emergency_brakings;

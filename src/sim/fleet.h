@@ -17,7 +17,6 @@
 
 #include "qrn/frequency.h"
 #include "qrn/incident.h"
-#include "qrn/incident_columns.h"
 #include "qrn/incident_type.h"
 #include "qrn/verification.h"
 #include "sim/ego_policy.h"
@@ -99,16 +98,11 @@ struct FleetConfig {
     std::uint64_t seed = 42;
 };
 
-/// Result of a fleet run.
-///
-/// Incidents are stored column-wise (IncidentColumns): the simulator
-/// appends rows, but every bulk consumer - evidence scans, merging, the
-/// qrn-store shard writer - walks the parallel columns, which mirror the
-/// store's 28-byte record format field for field. Row-style access
-/// (`log.incidents[i]`, range-for) still works through the materializing
-/// compatibility API.
+/// Result of a fleet run. Incidents are rows in the order the stretches
+/// logged them; the store's 28-byte record (store/format.h) is only their
+/// on-disk encoding.
 struct IncidentLog {
-    IncidentColumns incidents;
+    std::vector<Incident> incidents;
     ExposureHours exposure;
     std::uint64_t encounters = 0;          ///< Total conflicts resolved.
     std::uint64_t emergency_brakings = 0;  ///< Encounters needing more than
@@ -125,12 +119,9 @@ struct IncidentLog {
     /// Incidents matching no type are ignored (they are outside the margin
     /// space the goals constrain; the MECE argument lives at the
     /// classification level, not the recording thresholds). One pass over
-    /// the columns computes all per-type counts (count_matching_all).
+    /// the log computes all per-type counts (count_matching_all).
     [[nodiscard]] std::vector<TypeEvidence> evidence_for(
         const IncidentTypeSet& types) const;
-
-    /// Count of incidents matching one incident type.
-    [[nodiscard]] std::uint64_t count_matching(const IncidentType& type) const;
 
     /// Count of induced incidents (ego a causing factor, not a party).
     [[nodiscard]] std::uint64_t induced_count() const;

@@ -131,10 +131,6 @@ double Rng::lognormal(double mu_log, double sigma_log) noexcept {
     return std::exp(normal(mu_log, sigma_log));
 }
 
-Rng Rng::split() noexcept {
-    return Rng((*this)());
-}
-
 std::uint64_t Rng::stream_seed(std::uint64_t seed, std::uint64_t stream_index) noexcept {
     // Whiten the seed first so nearby user seeds (42, 43, ...) map to
     // unrelated base points, then advance by `stream_index` Weyl steps and

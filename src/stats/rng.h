@@ -74,14 +74,6 @@ public:
     /// Log-normal: exp(N(mu_log, sigma_log)).
     double lognormal(double mu_log, double sigma_log) noexcept;
 
-    /// Forks an independent stream; deterministic given this stream's state.
-    /// NOTE: order-dependent (the fork consumes one draw of *this*), so the
-    /// result depends on how many draws preceded the call. Parallel
-    /// workloads must use the schedule-independent stream() instead - as of
-    /// the importance-splitting work no production code calls split(); it
-    /// stays only for sequential conveniences and its own tests.
-    Rng split() noexcept;
-
     /// Seed of the `stream_index`-th independent substream of `seed`:
     /// the splitmix64 finalizer applied to the whitened seed advanced by
     /// `stream_index` Weyl steps. Pure in (seed, stream_index), so each

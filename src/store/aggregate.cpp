@@ -12,10 +12,10 @@ StoreAggregate aggregate_evidence(const std::vector<ShardRef>& shards,
             sim::FleetPartial fleet;
             fleet.type_events.assign(types.size(), 0);
             ShardReader reader(shards[s].path);
-            // Columnar block scan: every per-type count of the block in
-            // one pass, summed into the fleet's partial.
+            // Every per-type count of a block in one pass, summed into the
+            // fleet's partial.
             const ShardInfo info =
-                reader.for_each_block([&](const qrn::IncidentColumns& block) {
+                reader.for_each_block([&](std::span<const Incident> block) {
                     const std::vector<std::uint64_t> counts =
                         count_matching_all(block, types);
                     for (std::size_t k = 0; k < types.size(); ++k) {

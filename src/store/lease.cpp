@@ -162,6 +162,21 @@ void overwrite_lease(const std::string& dir, const Lease& lease) {
     sync_directory(dir);
 }
 
+std::optional<LeaseClaim> claim_lease(const std::string& dir, const std::string& node,
+                                      const std::string& owner, std::uint64_t ttl_ms) {
+    const std::optional<Lease> current = read_lease(dir, node);
+    if (!current) {
+        if (!try_acquire_lease(dir, Lease{node, owner, lease_now_ms(), ttl_ms, 1})) {
+            return std::nullopt;
+        }
+        return LeaseClaim{1, false};
+    }
+    if (!lease_expired(*current, lease_now_ms())) return std::nullopt;
+    const std::uint64_t generation = current->generation + 1;
+    overwrite_lease(dir, Lease{node, owner, lease_now_ms(), ttl_ms, generation});
+    return LeaseClaim{generation, true};
+}
+
 void release_lease(const std::string& dir, const std::string& node) {
     const std::string path = lease_path(dir, node);
     std::error_code ec;

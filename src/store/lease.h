@@ -66,6 +66,26 @@ struct Lease {
 /// StoreError(Io) on failure.
 void overwrite_lease(const std::string& dir, const Lease& lease);
 
+/// A lease the caller now holds.
+struct LeaseClaim {
+    std::uint64_t generation = 0;  ///< Generation written for the caller.
+    bool stolen = false;           ///< Taken over from an expired holder.
+};
+
+/// The scheduler's one claim policy, shared by the coordinator and the
+/// standalone workers. Reads the node's lease, then:
+///  - none: acquires it (generation 1), unless a peer wins the race;
+///  - expired or `<malformed>`: steals it (generation + 1);
+///  - live: defers to its holder.
+/// Returns the claim, or nullopt when the caller must leave the node to
+/// someone else for now. Two stealers racing on one expired lease both
+/// win; duplicate execution is benign (deterministic bytes, atomic seal).
+/// Throws StoreError(Io) as the primitives above do.
+[[nodiscard]] std::optional<LeaseClaim> claim_lease(const std::string& dir,
+                                                    const std::string& node,
+                                                    const std::string& owner,
+                                                    std::uint64_t ttl_ms);
+
 /// Removes a node's lease and fsyncs the directory. A lease that is
 /// already gone is not an error (release after steal is a benign race).
 void release_lease(const std::string& dir, const std::string& node);

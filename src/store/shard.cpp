@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "store/crc32.h"
@@ -94,35 +95,6 @@ void ShardWriter::append(const Incident& incident) {
     ++block_records_;
     ++records_;
     if (block_records_ == kBlockRecords) flush_block();
-}
-
-void ShardWriter::append_columns(const qrn::IncidentColumns& columns) {
-    if (sealed_) {
-        throw std::logic_error("ShardWriter::append_columns: shard already sealed");
-    }
-    // Straight columns -> bytes: the column vectors mirror the record
-    // layout, so serialization is a strided gather with no Incident in
-    // between. Byte-identical to append()ing each row (same encoding, same
-    // block boundaries).
-    const auto& firsts = columns.firsts();
-    const auto& seconds = columns.seconds();
-    const auto& mechanisms = columns.mechanisms();
-    const auto& induced = columns.induced_flags();
-    const auto& speeds = columns.relative_speeds_kmh();
-    const auto& distances = columns.min_distances_m();
-    const auto& timestamps = columns.timestamps_hours();
-    for (std::size_t i = 0; i < columns.size(); ++i) {
-        block_.push_back(static_cast<char>(firsts[i]));
-        block_.push_back(static_cast<char>(seconds[i]));
-        block_.push_back(static_cast<char>(mechanisms[i]));
-        block_.push_back(static_cast<char>(induced[i]));
-        put_f64(block_, speeds[i]);
-        put_f64(block_, distances[i]);
-        put_f64(block_, timestamps[i]);
-        ++block_records_;
-        ++records_;
-        if (block_records_ == kBlockRecords) flush_block();
-    }
 }
 
 void ShardWriter::flush_block() {
@@ -242,42 +214,19 @@ void ShardReader::read_exact(std::string& into, std::size_t want,
     }
 }
 
-ShardInfo ShardReader::for_each(const std::function<void(const Incident&)>& fn) {
-    return stream_blocks([&](std::string_view payload, std::uint32_t count) {
-        for (std::uint32_t r = 0; r < count; ++r) {
-            fn(decode_record(payload, static_cast<std::size_t>(r) * kRecordBytes,
-                             path_));
-        }
-    });
-}
-
 ShardInfo ShardReader::for_each_block(
-    const std::function<void(const qrn::IncidentColumns&)>& fn) {
-    // One columns buffer reused for every block: capacity settles at
-    // kBlockRecords rows and the scan allocates nothing further.
-    qrn::IncidentColumns batch;
-    return stream_blocks([&](std::string_view payload, std::uint32_t count) {
-        batch.clear();
-        batch.reserve(count);
-        for (std::uint32_t r = 0; r < count; ++r) {
-            batch.push_back(decode_record(
-                payload, static_cast<std::size_t>(r) * kRecordBytes, path_));
-        }
-        fn(batch);
-    });
-}
-
-ShardInfo ShardReader::stream_blocks(
-    const std::function<void(std::string_view payload, std::uint32_t count)>&
-        on_block) {
+    const std::function<void(std::span<const Incident>)>& fn) {
     if (consumed_) {
-        throw std::logic_error("ShardReader::for_each: reader already consumed");
+        throw std::logic_error("ShardReader::for_each_block: reader already consumed");
     }
     consumed_ = true;
     const obs::ScopedTimer timer("store.shard_read_ns");
     try {
         std::uint64_t records = 0;
         std::string buffer;
+        // One row buffer reused for every block: its capacity settles at
+        // kBlockRecords and the scan allocates nothing further.
+        std::vector<Incident> rows;
         for (;;) {
             char tag_bytes[4];
             const std::size_t got = read_some(tag_bytes, 4);
@@ -312,7 +261,13 @@ ShardInfo ShardReader::stream_blocks(
                                      path_ + ": block checksum mismatch "
                                              "(bit rot or torn write)");
                 }
-                on_block(payload, count);
+                rows.clear();
+                rows.reserve(count);
+                for (std::uint32_t r = 0; r < count; ++r) {
+                    rows.push_back(decode_record(
+                        payload, static_cast<std::size_t>(r) * kRecordBytes, path_));
+                }
+                fn(rows);
                 records += count;
                 continue;
             }
@@ -399,7 +354,7 @@ void write_shard(const std::string& path, std::uint64_t cache_key,
                  std::uint64_t fleet_index, const sim::IncidentLog& log) {
     const obs::ScopedTimer timer("store.shard_write_ns");
     ShardWriter writer(path, cache_key, fleet_index);
-    writer.append_columns(log.incidents);
+    for (const Incident& incident : log.incidents) writer.append(incident);
     const SealReceipt receipt = writer.seal(totals_of(log));
     if (receipt.records != log.incidents.size()) {
         throw StoreError(StoreErrorKind::Inconsistent,
@@ -412,8 +367,14 @@ void write_shard(const std::string& path, std::uint64_t cache_key,
 ShardInfo read_shard(const std::string& path, sim::IncidentLog& out) {
     ShardReader reader(path);
     sim::IncidentLog log;
-    const ShardInfo info = reader.for_each_block(
-        [&log](const qrn::IncidentColumns& block) { log.incidents.append(block); });
+    // Every record takes kRecordBytes of the file, so its size bounds the
+    // record count from above: one allocation instead of a growth series.
+    std::error_code size_error;
+    const std::uintmax_t file_bytes = std::filesystem::file_size(path, size_error);
+    if (!size_error) log.incidents.reserve(file_bytes / kRecordBytes);
+    const ShardInfo info = reader.for_each_block([&log](std::span<const Incident> block) {
+        log.incidents.insert(log.incidents.end(), block.begin(), block.end());
+    });
     log.exposure = ExposureHours(info.totals.exposure_hours);
     log.encounters = info.totals.encounters;
     log.emergency_brakings = info.totals.emergency_brakings;
@@ -427,7 +388,7 @@ ShardInfo read_shard(const std::string& path, sim::IncidentLog& out) {
 
 ShardInfo verify_shard(const std::string& path) {
     ShardReader reader(path);
-    return reader.for_each([](const Incident&) {});
+    return reader.for_each_block([](std::span<const Incident>) {});
 }
 
 }  // namespace qrn::store

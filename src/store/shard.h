@@ -15,11 +15,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 
 #include "qrn/incident.h"
-#include "qrn/incident_columns.h"
 #include "sim/fleet.h"
 #include "store/format.h"
 
@@ -63,21 +63,11 @@ public:
     /// std::logic_error when called after seal().
     void append(const Incident& incident);
 
-    /// Appends every row of `columns` in order, encoding straight from the
-    /// column vectors (no per-record Incident materialization - the
-    /// columns mirror the record layout field for field). Byte-identical
-    /// to appending each row through append().
-    void append_columns(const IncidentColumns& columns);
-
     /// Flushes, writes the sealed footer and atomically renames the file
     /// onto its final path. Throws StoreError(Io) when any step fails.
     /// Returns the durability receipt; discarding it is a lint finding
     /// (unchecked-seal) as well as a compiler warning.
     [[nodiscard]] SealReceipt seal(const ShardTotals& totals);
-
-    [[nodiscard]] std::uint64_t records_written() const noexcept { return records_; }
-    [[nodiscard]] std::uint64_t bytes_written() const noexcept { return bytes_; }
-    [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
 private:
     void flush_block();
@@ -96,8 +86,8 @@ private:
     bool sealed_ = false;
 };
 
-/// Streaming shard reader. Construction validates the header; for_each
-/// then streams every record through `fn` (block-at-a-time, each block
+/// Streaming shard reader. Construction validates the header;
+/// for_each_block then streams the records a block at a time (each block
 /// CRC-checked before its records are surfaced) and finally validates the
 /// sealed footer against what was actually read. Single pass, O(block)
 /// memory: aggregation over shards never materializes a whole log.
@@ -110,27 +100,15 @@ public:
     ShardReader(const ShardReader&) = delete;
     ShardReader& operator=(const ShardReader&) = delete;
 
-    [[nodiscard]] std::uint64_t cache_key() const noexcept { return cache_key_; }
-    [[nodiscard]] std::uint64_t fleet_index() const noexcept { return fleet_index_; }
-
-    /// Streams all records, then the footer check. Throws StoreError on
-    /// any defect; on success returns the shard's self-description.
-    /// Consumes the reader (single pass).
-    ShardInfo for_each(const std::function<void(const Incident&)>& fn);
-
-    /// Streams CRC-checked blocks decoded as columns: `fn` sees one
-    /// IncidentColumns batch per block (up to kBlockRecords rows), backed
-    /// by a buffer reused across blocks. Bulk consumers (aggregation, log
-    /// reload) scan columns without a per-record callback.
-    ShardInfo for_each_block(const std::function<void(const IncidentColumns&)>& fn);
+    /// Streams every record, then checks the footer. `fn` sees each
+    /// CRC-checked block decoded into rows (1..kBlockRecords of them, in
+    /// file order); the span points into a buffer reused across blocks, so
+    /// it is valid only during the call. Throws StoreError on any defect;
+    /// on success returns the shard's self-description. Consumes the
+    /// reader (single pass).
+    ShardInfo for_each_block(const std::function<void(std::span<const Incident>)>& fn);
 
 private:
-    /// The shared streaming core: walks block frames (each CRC-checked
-    /// before `on_block` sees its payload) and validates the footer.
-    ShardInfo stream_blocks(
-        const std::function<void(std::string_view payload, std::uint32_t count)>&
-            on_block);
-
     [[nodiscard]] std::size_t read_some(char* into, std::size_t want);
     void read_exact(std::string& into, std::size_t want, std::string_view what);
 

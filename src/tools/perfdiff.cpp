@@ -8,8 +8,8 @@ namespace qrn::tools {
 
 namespace {
 
-double checked_time(const json::Value& entry, const std::string& where,
-                    const char* key) {
+double checked_number(const json::Value& entry, const std::string& where,
+                      const char* key) {
     if (!entry.contains(key) || !entry.at(key).is_number()) {
         throw std::runtime_error(where + "." + key + ": expected a number");
     }
@@ -22,42 +22,79 @@ double checked_time(const json::Value& entry, const std::string& where,
     return value;
 }
 
+const std::string& checked_string(const json::Value& entry, const std::string& where,
+                                  const char* key) {
+    if (!entry.contains(key) || !entry.at(key).is_string()) {
+        throw std::runtime_error(where + "." + key + ": expected a string");
+    }
+    return entry.at(key).as_string();
+}
+
+/// Nanoseconds per `time_unit`, as google-benchmark names its units.
+double ns_per_unit(const std::string& unit, const std::string& where) {
+    if (unit == "ns") return 1.0;
+    if (unit == "us") return 1e3;
+    if (unit == "ms") return 1e6;
+    if (unit == "s") return 1e9;
+    throw std::runtime_error(where + ".time_unit: unknown unit '" + unit +
+                             "' (expected ns, us, ms or s)");
+}
+
 }  // namespace
 
 PerfBaseline perf_baseline_from_json(const json::Value& doc) {
     if (!doc.is_object() || !doc.contains("benchmarks") ||
         !doc.at("benchmarks").is_array()) {
         throw std::runtime_error(
-            "not a perf baseline (expected an object with a \"benchmarks\" "
-            "array, as written by perf_microbench)");
+            "not a benchmark report (expected an object with a \"benchmarks\" "
+            "array, as google-benchmark writes with --benchmark_out_format=json)");
     }
     PerfBaseline out;
+    if (doc.contains("context") && doc.at("context").contains("num_cpus")) {
+        const double cpus = checked_number(doc.at("context"), "context", "num_cpus");
+        if (cpus < 1.0 || cpus > 1e6 || cpus != std::floor(cpus)) {
+            throw std::runtime_error("context.num_cpus: expected a core count");
+        }
+        out.num_cpus = static_cast<std::uint64_t>(cpus);
+    }
     std::set<std::string> seen;
     const auto& entries = doc.at("benchmarks").as_array();
     out.benchmarks.reserve(entries.size());
     for (std::size_t i = 0; i < entries.size(); ++i) {
         const std::string where = "benchmarks[" + std::to_string(i) + "]";
         const auto& entry = entries[i];
-        if (!entry.is_object() || !entry.contains("name") ||
-            !entry.at("name").is_string()) {
-            throw std::runtime_error(where + ".name: expected a string");
-        }
         PerfEntry e;
-        e.name = entry.at("name").as_string();
+        e.name = checked_string(entry, where, "name");
         if (e.name.empty()) {
             throw std::runtime_error(where + ".name: must not be empty");
         }
+        if (checked_string(entry, where, "run_type") != "iteration") continue;
+        if (entry.contains("error_occurred") && entry.at("error_occurred").as_bool()) continue;
         if (!seen.insert(e.name).second) {
             throw std::runtime_error(where + ": duplicate benchmark name '" +
                                      e.name + "'");
         }
-        e.ns_per_op = checked_time(entry, where, "ns_per_op");
+        e.ns_per_op = checked_number(entry, where, "real_time") *
+                      ns_per_unit(checked_string(entry, where, "time_unit"), where);
         if (entry.contains("items_per_second")) {
-            e.items_per_second = checked_time(entry, where, "items_per_second");
+            e.items_per_second = checked_number(entry, where, "items_per_second");
         }
         out.benchmarks.push_back(std::move(e));
     }
     return out;
+}
+
+void require_same_core_count(const PerfBaseline& baseline,
+                             const PerfBaseline& current) {
+    if (baseline.num_cpus == 0 || baseline.num_cpus != current.num_cpus) {
+        const auto cpus = [](std::uint64_t n) {
+            return n == 0 ? std::string("absent") : std::to_string(n);
+        };
+        throw std::runtime_error(
+            "--min-ratio needs both reports from hosts with the same core count "
+            "(context.num_cpus: baseline " + cpus(baseline.num_cpus) + ", current " +
+            cpus(current.num_cpus) + ")");
+    }
 }
 
 const char* to_string(PerfStatus status) noexcept {

@@ -1,14 +1,17 @@
 // Perf-baseline comparison: the library behind qrn-perfdiff.
 //
-// perf_microbench writes BENCH_perf.json (name -> ns_per_op, items/s);
-// the repo-root copy of that file is the tracked baseline. This module
-// parses two such documents and classifies every benchmark's drift
-// against configurable thresholds, so CI can fail a PR that regresses a
-// hot path - the "measurably faster" mandate needs a measured gate, not
-// a gitignored file. See docs/OBSERVABILITY.md.
+// perf_microbench is a plain google-benchmark binary; run with
+// `--benchmark_out=FILE --benchmark_out_format=json` it writes the
+// library's own JSON report. The repo-root BENCH_perf.json, in that
+// format, is the tracked baseline. This module parses two such documents
+// and classifies every benchmark's drift against configurable thresholds,
+// so CI can fail a PR that regresses a hot path - the "measurably faster"
+// mandate needs a measured gate, not a gitignored file. See
+// docs/OBSERVABILITY.md.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -16,23 +19,36 @@
 
 namespace qrn::tools {
 
-/// One benchmark's measurement from a BENCH_perf.json document.
+/// One benchmark's measurement from a google-benchmark JSON report.
 struct PerfEntry {
     std::string name;
-    double ns_per_op = 0.0;
+    double ns_per_op = 0.0;         ///< real_time, scaled to nanoseconds.
     double items_per_second = 0.0;  ///< 0 when the benchmark reports none.
 };
 
-/// A parsed BENCH_perf.json, in document order.
+/// A parsed report: its per-iteration rows in document order.
 struct PerfBaseline {
     std::vector<PerfEntry> benchmarks;
+    std::uint64_t num_cpus = 0;  ///< context.num_cpus; 0 when absent.
 };
 
-/// Parses `{"benchmarks":[{"name":...,"ns_per_op":...},...]}`. Throws
-/// std::runtime_error naming the offending JSON path on malformed input
-/// (missing keys, wrong kinds, non-finite or negative times, duplicate
-/// benchmark names).
+/// Parses google-benchmark's JSON report
+/// (`{"context":{...},"benchmarks":[{"name":...,"run_type":"iteration",
+/// "real_time":...,"time_unit":"ns",...},...]}`). Reads `name`,
+/// `real_time` scaled from `time_unit` (ns, us, ms or s) to nanoseconds,
+/// and `items_per_second`; rows whose `run_type` is not "iteration"
+/// (aggregates of repeated runs) and rows that report `error_occurred`
+/// are skipped. Throws std::runtime_error naming the offending JSON path
+/// on malformed input (missing keys, wrong kinds, an unknown time unit,
+/// non-finite or negative times, duplicate benchmark names, a
+/// non-positive context.num_cpus).
 [[nodiscard]] PerfBaseline perf_baseline_from_json(const json::Value& doc);
+
+/// An absolute throughput floor (qrn-perfdiff --min-ratio) only means
+/// something on comparable hardware. Throws std::runtime_error unless
+/// both reports carry context.num_cpus and the two counts agree.
+void require_same_core_count(const PerfBaseline& baseline,
+                             const PerfBaseline& current);
 
 /// Comparison tuning.
 struct PerfDiffOptions {
@@ -92,7 +108,7 @@ struct PerfDiff {
 // hardware, including single-core runners where 8 jobs cannot beat 1; an
 // optional minimum ratio enforces an absolute floor on capable hardware.
 
-/// The jobs-8 vs jobs-1 throughput ratio of one BENCH_perf.json document.
+/// The jobs-8 vs jobs-1 throughput ratio of one report.
 struct ScalingRatio {
     double jobs1_items_per_second = 0.0;
     double jobs8_items_per_second = 0.0;

@@ -957,8 +957,9 @@ int cmd_store_merge(const Args& args) {
     std::uint64_t records = 0;
     for (const auto& e : entries) {
         store::ShardReader reader(st.shard_path(e));
-        const auto info = reader.for_each(
-            [&](const Incident& incident) { writer.append(incident); });
+        const auto info = reader.for_each_block([&](std::span<const Incident> block) {
+            for (const Incident& incident : block) writer.append(incident);
+        });
         totals.exposure_hours += info.totals.exposure_hours;
         totals.encounters += info.totals.encounters;
         totals.emergency_brakings += info.totals.emergency_brakings;

@@ -4,10 +4,11 @@
 //                [--min-ns NS] [--scaling FAMILY]
 //                [--scaling-tolerance PCT] [--min-ratio R]
 //
-// Both files use the BENCH_perf.json format perf_microbench writes. The
-// comparison table is printed to stdout through the report layer; CI runs
-// this after the bench job to turn the committed repo-root
-// BENCH_perf.json into an enforced regression gate (docs/OBSERVABILITY.md).
+// Both files are google-benchmark JSON reports (perf_microbench
+// --benchmark_out=FILE --benchmark_out_format=json). The comparison table
+// is printed to stdout through the report layer; CI runs this after the
+// bench job to turn the committed repo-root BENCH_perf.json into an
+// enforced regression gate (docs/OBSERVABILITY.md).
 //
 // Options:
 //   --threshold PCT  allowed ns/op increase in percent (default 10);
@@ -21,11 +22,14 @@
 //   --scaling-tolerance PCT  allowed ratio loss vs the baseline ratio
 //                    (default 15); finite, > 0
 //   --min-ratio R    absolute floor for the current ratio (default 0 =
-//                    off; set e.g. 3 on hardware with >= 8 cores)
+//                    off; set e.g. 3 on hardware with >= 8 cores). A
+//                    floor > 0 requires both reports to carry the same
+//                    context.num_cpus (exit 1 otherwise)
 //
 // Exit-code contract (same shape as the qrn CLI; scripts rely on it):
 //   0  every benchmark within threshold (improvements and new entries ok)
-//   1  usage or parse error (bad flag value, malformed baseline JSON)
+//   1  usage or parse error (bad flag value, malformed baseline JSON,
+//      --min-ratio across hosts)
 //   2  at least one benchmark regressed beyond the threshold or went
 //      missing from the current run
 //   3  I/O error: an input file cannot be opened or read
@@ -136,6 +140,9 @@ int main(int argc, char** argv) {
 
         const auto baseline = load_baseline(positional[0]);
         const auto current = load_baseline(positional[1]);
+        if (scaling.min_ratio > 0.0) {
+            qrn::tools::require_same_core_count(baseline, current);
+        }
         const auto diff = qrn::tools::perf_diff(baseline, current, options);
 
         qrn::report::Table table({"benchmark", "base ns/op", "cur ns/op",

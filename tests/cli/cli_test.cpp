@@ -357,6 +357,33 @@ TEST(Cli, CampaignOutputIndependentOfJobs) {
     }
 }
 
+TEST(Cli, CampaignStdoutMatchesPinnedDocument) {
+    // Pinned against a literal, not against another path of this build:
+    // a change that moves every path at once (as a layout change could)
+    // still shows up here.
+    const auto result = run_cli("campaign --fleets 3 --hours 50 --seed 7");
+    ASSERT_EQ(result.exit_code, 0);
+    EXPECT_EQ(result.output, R"({
+  "kind": "qrn.evidence",
+  "exposure_hours": 150,
+  "events": [
+    {
+      "incident_type": "I1",
+      "events": 3
+    },
+    {
+      "incident_type": "I2",
+      "events": 0
+    },
+    {
+      "incident_type": "I3",
+      "events": 2
+    }
+  ]
+}
+)");
+}
+
 TEST(Cli, SimulateOutputIndependentOfJobs) {
     const auto serial = run_cli("simulate --hours 40 --seed 5 --jobs 1");
     ASSERT_EQ(serial.exit_code, 0);

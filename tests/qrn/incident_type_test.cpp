@@ -1,9 +1,15 @@
-// Incident types and type sets: matching, MECE-by-construction guards.
+// Incident types and type sets: matching, MECE-by-construction guards,
+// and the one-pass per-type count behind every evidence scan.
 #include "qrn/incident_type.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "stats/rng.h"
 
 namespace qrn {
 namespace {
@@ -162,6 +168,60 @@ TEST(InducedIncidentType, CoexistsWithEgoTypesOfSameActors) {
 
 TEST(IncidentTypeSet, RejectsEmpty) {
     EXPECT_THROW(IncidentTypeSet({}), std::invalid_argument);
+}
+
+/// A deterministic mixed bag of incidents: every actor pairing, both
+/// mechanisms, induced and ego-involved rows.
+std::vector<Incident> sample_rows(std::uint64_t seed, std::size_t n) {
+    std::vector<Incident> rows;
+    rows.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        stats::Rng rng = stats::Rng::stream(seed, i);
+        Incident incident;
+        incident.second = actor_type_from_index(
+            static_cast<std::size_t>(rng.uniform_int(1, kActorTypeCount - 1)));
+        if (rng.bernoulli(0.4)) {
+            incident.mechanism = IncidentMechanism::NearMiss;
+            incident.min_distance_m = rng.uniform(0.0, 5.0);
+        }
+        if (rng.bernoulli(0.2)) {
+            incident.first = ActorType::Car;
+            incident.ego_causing_factor = true;
+        }
+        incident.relative_speed_kmh = rng.uniform(0.0, 150.0);
+        incident.timestamp_hours = rng.uniform(0.0, 1e4);
+        rows.push_back(incident);
+    }
+    return rows;
+}
+
+TEST(CountMatchingAll, AgreesWithPerTypeReference) {
+    const auto types = IncidentTypeSet::paper_vru_example();
+    // Force plenty of VRU rows so every type accumulates real counts.
+    auto rows = sample_rows(18, 2000);
+    for (std::size_t i = 0; i < rows.size(); i += 2) {
+        rows[i].second = ActorType::Vru;
+    }
+
+    const auto counts = count_matching_all(rows, types);
+    ASSERT_EQ(counts.size(), types.size());
+    std::uint64_t total = 0;
+    for (std::size_t k = 0; k < types.size(); ++k) {
+        // Reference: the naive one-type-at-a-time scan over the rows.
+        const std::uint64_t expected = static_cast<std::uint64_t>(
+            std::count_if(rows.begin(), rows.end(), [&](const Incident& r) {
+                return types.at(k).matches(r);
+            }));
+        EXPECT_EQ(counts[k], expected) << "type " << types.at(k).id();
+        total += counts[k];
+    }
+    EXPECT_GT(total, 0u);
+}
+
+TEST(CountMatchingAll, EmptyColumnsYieldZeroes) {
+    const auto counts = count_matching_all({}, IncidentTypeSet::paper_vru_example());
+    ASSERT_EQ(counts.size(), 3u);
+    for (const std::uint64_t c : counts) EXPECT_EQ(c, 0u);
 }
 
 }  // namespace

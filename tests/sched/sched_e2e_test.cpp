@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include "qrn/json.h"
 #include "sched/plan.h"
 #include "store/lease.h"
 
@@ -277,6 +278,30 @@ TEST(SchedE2e, StandaloneWorkerCompletesPlanAlone) {
         run_qrn(scratch, {"sched", "worker", "--store", store});
     ASSERT_EQ(worker.exit_code, 0) << worker.err;
     EXPECT_EQ(shard_bytes(store), shard_bytes(scratch + "/base"));
+}
+
+TEST(SchedE2e, StandaloneWorkerCountsAStealOnlyAsASteal) {
+    // docs/OBSERVABILITY.md: sched.leases_acquired counts fresh claims and
+    // sched.leases_stolen takes-overs, in workers as in the coordinator.
+    const auto scratch = scratch_for("worker_metrics");
+    const std::string store = scratch + "/dist";
+    write_plan_for_campaign(store);
+    const std::string leases = sched::lease_dir(store);
+    std::filesystem::create_directories(leases);
+    // Fleet 2's lease was left by a holder whose TTL ran out long ago.
+    store::overwrite_lease(leases, store::Lease{"fleet-00002", "dead", 0, 1, 1});
+
+    const std::string metrics = scratch + "/worker-metrics.json";
+    const RunResult worker = run_qrn(
+        scratch, {"sched", "worker", "--store", store, "--metrics", metrics});
+    ASSERT_EQ(worker.exit_code, 0) << worker.err;
+    std::map<std::string, double> counters;
+    const json::Value doc = json::parse(read_file_bytes(metrics));
+    for (const json::Value& counter : doc.at("counters").as_array()) {
+        counters[counter.at("name").as_string()] = counter.at("value").as_number();
+    }
+    EXPECT_EQ(counters["sched.leases_acquired"], 3.0);
+    EXPECT_EQ(counters["sched.leases_stolen"], 1.0);
 }
 
 TEST(SchedE2e, WorkerWithoutAPlanExitsIo) {

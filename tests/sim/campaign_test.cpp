@@ -2,6 +2,7 @@
 // the pooled-evidence-tightens-bounds property.
 #include "sim/campaign.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
@@ -34,7 +35,11 @@ TEST(Campaign, PooledEvidenceSumsFleetCounts) {
     ASSERT_EQ(pooled.size(), 3u);
     for (std::size_t k = 0; k < types.size(); ++k) {
         std::uint64_t expected = 0;
-        for (const auto& log : result.logs) expected += log.count_matching(types.at(k));
+        for (const auto& log : result.logs) {
+            expected += static_cast<std::uint64_t>(std::count_if(
+                log.incidents.begin(), log.incidents.end(),
+                [&](const Incident& incident) { return types.at(k).matches(incident); }));
+        }
         EXPECT_EQ(pooled[k].events, expected);
         EXPECT_DOUBLE_EQ(pooled[k].exposure.hours(), 1200.0);
     }

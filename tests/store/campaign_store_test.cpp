@@ -14,6 +14,7 @@
 
 #include "obs/metrics.h"
 #include "store/cache_key.h"
+#include "store/crc32.h"
 #include "store/format.h"
 #include "store/shard.h"
 
@@ -230,6 +231,25 @@ TEST(CampaignStore, WarmCacheMeansZeroResimulation) {
     obs::reset();
     obs::set_enabled(false);
     std::filesystem::remove_all(dir);
+}
+
+TEST(CampaignStore, SealedFleetShardMatchesPinnedBytes) {
+    // The other byte-identity tests compare two paths of one build, so a
+    // change that moves both at once (a record layout, a reordered draw)
+    // passes them all. Cache keys carry no build version, so a store an
+    // older build filled would then be reused under the same keys. This
+    // pins one sealed fleet's bytes against fixed values; change them only
+    // together with the format version.
+    auto config = small_campaign();
+    config.hours_per_fleet = 400.0;
+    const std::string dir = fresh_dir("golden");
+    std::filesystem::create_directories(dir);
+    const ShardEntry entry = simulate_fleet_shard(config, dir, 2, 0x5eed0f1eed5eedULL);
+    const std::string bytes = slurp(dir + "/" + entry.file);
+    EXPECT_EQ(entry.records, 62u);
+    // 36 header + one block (8 framing + 62 x 28 + 4 CRC) + 80 footer.
+    EXPECT_EQ(bytes.size(), 1864u);
+    EXPECT_EQ(crc32(bytes), 0xbe61d934u);
 }
 
 TEST(CampaignStore, RejectsConfigsThePlainCampaignRejects) {

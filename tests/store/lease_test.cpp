@@ -130,6 +130,41 @@ TEST(Lease, NonIntegerNumbersReadAsMalformed) {
     }
 }
 
+TEST(Lease, ClaimAcquiresStealsOrDefers) {
+    const auto dir = lease_dir_for("claim");
+    // Free: a fresh acquisition at generation 1.
+    const auto fresh = store::claim_lease(dir, "free", "a", 60000);
+    ASSERT_TRUE(fresh.has_value());
+    EXPECT_EQ(fresh->generation, 1u);
+    EXPECT_FALSE(fresh->stolen);
+    EXPECT_EQ(store::read_lease(dir, "free")->owner, "a");
+
+    // Live foreign lease: defer to its holder and leave the file alone.
+    EXPECT_FALSE(store::claim_lease(dir, "free", "b", 60000).has_value());
+    EXPECT_EQ(store::read_lease(dir, "free")->owner, "a");
+
+    // Expired: stolen at generation + 1.
+    store::overwrite_lease(dir, store::Lease{"expired", "dead", 0, 1, 5});
+    const auto stolen = store::claim_lease(dir, "expired", "b", 60000);
+    ASSERT_TRUE(stolen.has_value());
+    EXPECT_EQ(stolen->generation, 6u);
+    EXPECT_TRUE(stolen->stolen);
+    const auto after = store::read_lease(dir, "expired");
+    EXPECT_EQ(after->owner, "b");
+    EXPECT_EQ(after->generation, 6u);
+
+    // Malformed: reads as generation 0, always expired, so stolen at 1.
+    {
+        std::ofstream torn(store::lease_path(dir, "torn"));
+        torn << "{\"kind\": \"qrn.lease\"";
+    }
+    const auto healed = store::claim_lease(dir, "torn", "c", 60000);
+    ASSERT_TRUE(healed.has_value());
+    EXPECT_EQ(healed->generation, 1u);
+    EXPECT_TRUE(healed->stolen);
+    EXPECT_EQ(store::read_lease(dir, "torn")->owner, "c");
+}
+
 TEST(Lease, AcquireLeavesNoTempFilesBehind) {
     const auto dir = lease_dir_for("no_temps");
     ASSERT_TRUE(store::try_acquire_lease(dir, make_lease("a", "o", 60000, 1)));

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -151,60 +152,25 @@ TEST(Shard, BlockBoundariesRoundTrip) {
     }
 }
 
-TEST(Shard, AppendColumnsMatchesPerRecordAppend) {
-    // The columnar fast path and the row-at-a-time path must produce the
-    // same bytes on disk, spanning a block boundary so the mid-block flush
-    // is exercised too.
-    const auto log = sample_log(kBlockRecords + 57);
-    const std::string row_path = temp_shard("rows");
-    {
-        ShardWriter writer(row_path, 9, 2);
-        for (const Incident incident : log.incidents) writer.append(incident);
-        const SealReceipt receipt = writer.seal(totals_of(log));
-        EXPECT_EQ(receipt.records, log.incidents.size());
-    }
-    const std::string column_path = temp_shard("columns");
-    {
-        ShardWriter writer(column_path, 9, 2);
-        writer.append_columns(log.incidents);
-        const SealReceipt receipt = writer.seal(totals_of(log));
-        EXPECT_EQ(receipt.records, log.incidents.size());
-    }
-    std::ifstream rows(row_path, std::ios::binary);
-    std::ifstream columns(column_path, std::ios::binary);
-    const std::string row_bytes{std::istreambuf_iterator<char>(rows),
-                                std::istreambuf_iterator<char>()};
-    const std::string column_bytes{std::istreambuf_iterator<char>(columns),
-                                   std::istreambuf_iterator<char>()};
-    EXPECT_EQ(row_bytes, column_bytes);
-    std::filesystem::remove(row_path);
-    std::filesystem::remove(column_path);
-}
-
 TEST(Shard, ForEachBlockStreamsTheSameRows) {
-    // The columnar block scan (the aggregator's path) sees exactly the
-    // rows the per-record scan sees, in order, in batches capped at
-    // kBlockRecords.
+    // The block scan (the path of verify, read, aggregate and merge)
+    // surfaces exactly the logged rows, in order, one span per block of
+    // at most kBlockRecords rows.
     const std::string path = temp_shard("block_scan");
     const auto log = sample_log(2 * kBlockRecords + 39);
     write_shard(path, 4, 1, log);
 
-    ShardReader per_record(path);
-    std::vector<Incident> rows;
-    (void)per_record.for_each([&rows](const Incident& incident) {
-        rows.push_back(incident);
-    });
-
-    ShardReader by_block(path);
-    IncidentColumns scanned;
+    ShardReader reader(path);
+    std::vector<Incident> scanned;
+    std::vector<std::size_t> block_sizes;
     const ShardInfo info =
-        by_block.for_each_block([&scanned](const IncidentColumns& block) {
-            EXPECT_LE(block.size(), kBlockRecords);
-            EXPECT_FALSE(block.empty());
-            scanned.append(block);
+        reader.for_each_block([&](std::span<const Incident> block) {
+            block_sizes.push_back(block.size());
+            scanned.insert(scanned.end(), block.begin(), block.end());
         });
     EXPECT_EQ(info.records, log.incidents.size());
-    EXPECT_EQ(scanned, IncidentColumns::from_vector(rows));
+    EXPECT_EQ(block_sizes,
+              (std::vector<std::size_t>{kBlockRecords, kBlockRecords, 39}));
     EXPECT_EQ(scanned, log.incidents);
     std::filesystem::remove(path);
 }

@@ -38,34 +38,78 @@ const PerfRow* row_named(const PerfDiff& diff, const std::string& name) {
 // ---- baseline grammar --------------------------------------------------
 
 TEST(PerfBaseline, ParsesTheMicrobenchFormat) {
+    // google-benchmark's own JSON report, as perf_microbench writes it
+    // with --benchmark_out_format=json (fields qrn-perfdiff ignores
+    // trimmed). Times are scaled from each row's time_unit to ns. Only
+    // measured iteration rows count: the mean/median rows that
+    // --benchmark_repetitions adds are skipped, and so is an errored run,
+    // which then reads as missing and gates.
     const auto baseline = baseline_of(
-        R"({"benchmarks":[
-             {"name":"BM_A","ns_per_op":100.0,"items_per_second":1e7},
-             {"name":"BM_B","ns_per_op":2.5}]})");
-    ASSERT_EQ(baseline.benchmarks.size(), 2u);
+        R"({"context":{"num_cpus":4,"library_build_type":"release"},
+            "benchmarks":[
+             {"name":"BM_A","run_type":"iteration","iterations":10,
+              "real_time":100.0,"cpu_time":99.0,"time_unit":"ns",
+              "items_per_second":1e7},
+             {"name":"BM_A_mean","run_type":"aggregate","aggregate_name":"mean",
+              "real_time":101.0,"time_unit":"ns"},
+             {"name":"BM_A","run_type":"aggregate","aggregate_name":"median",
+              "real_time":99.0,"time_unit":"ns"},
+             {"name":"BM_Us","run_type":"iteration","real_time":2.5,"time_unit":"us"},
+             {"name":"BM_Ms","run_type":"iteration","real_time":1.5,"time_unit":"ms"},
+             {"name":"BM_S","run_type":"iteration","real_time":0.25,"time_unit":"s"},
+             {"name":"BM_E","run_type":"iteration","error_occurred":true,
+              "error_message":"boom","real_time":0.0,"time_unit":"ns"}]})");
+    ASSERT_EQ(baseline.benchmarks.size(), 4u);
     EXPECT_EQ(baseline.benchmarks[0].name, "BM_A");
     EXPECT_DOUBLE_EQ(baseline.benchmarks[0].ns_per_op, 100.0);
     EXPECT_DOUBLE_EQ(baseline.benchmarks[0].items_per_second, 1e7);
-    EXPECT_EQ(baseline.benchmarks[1].name, "BM_B");
+    EXPECT_EQ(baseline.benchmarks[1].name, "BM_Us");
+    EXPECT_DOUBLE_EQ(baseline.benchmarks[1].ns_per_op, 2500.0);
+    EXPECT_DOUBLE_EQ(baseline.benchmarks[2].ns_per_op, 1.5e6);
+    EXPECT_DOUBLE_EQ(baseline.benchmarks[3].ns_per_op, 2.5e8);
+    EXPECT_EQ(baseline.num_cpus, 4u);
+    EXPECT_EQ(baseline_of(R"({"benchmarks":[]})").num_cpus, 0u);  // no context
 }
 
 TEST(PerfBaseline, RejectsMalformedDocuments) {
     EXPECT_THROW(baseline_of(R"([1,2,3])"), std::runtime_error);
     EXPECT_THROW(baseline_of(R"({"context":{}})"), std::runtime_error);
-    EXPECT_THROW(baseline_of(R"({"benchmarks":[{"ns_per_op":1.0}]})"),
+    // No name, an empty name, no run_type.
+    EXPECT_THROW(baseline_of(R"({"benchmarks":[
+                   {"run_type":"iteration","real_time":1.0,"time_unit":"ns"}]})"),
                  std::runtime_error);
-    EXPECT_THROW(baseline_of(R"({"benchmarks":[{"name":"","ns_per_op":1.0}]})"),
+    EXPECT_THROW(baseline_of(R"({"benchmarks":[
+                   {"name":"","run_type":"iteration","real_time":1.0,"time_unit":"ns"}]})"),
                  std::runtime_error);
-    EXPECT_THROW(baseline_of(R"({"benchmarks":[{"name":"BM_A"}]})"),
+    EXPECT_THROW(baseline_of(R"({"benchmarks":[
+                   {"name":"BM_A","real_time":1.0,"time_unit":"ns"}]})"),
                  std::runtime_error);
-    EXPECT_THROW(
-        baseline_of(R"({"benchmarks":[{"name":"BM_A","ns_per_op":-1.0}]})"),
-        std::runtime_error);
+    // The pre-google-benchmark format: no real_time.
+    EXPECT_THROW(baseline_of(R"({"benchmarks":[
+                   {"name":"BM_A","run_type":"iteration","ns_per_op":1.0}]})"),
+                 std::runtime_error);
+    EXPECT_THROW(baseline_of(R"({"benchmarks":[
+                   {"name":"BM_A","run_type":"iteration","real_time":-1.0,"time_unit":"ns"}]})"),
+                 std::runtime_error);
+    // A time without a unit, or in a unit the reader does not know.
+    EXPECT_THROW(baseline_of(R"({"benchmarks":[
+                   {"name":"BM_A","run_type":"iteration","real_time":1.0}]})"),
+                 std::runtime_error);
+    EXPECT_THROW(baseline_of(R"({"benchmarks":[
+                   {"name":"BM_A","run_type":"iteration","real_time":1.0,"time_unit":"ps"}]})"),
+                 std::runtime_error);
     // Duplicate names would make the diff ambiguous.
     EXPECT_THROW(baseline_of(R"({"benchmarks":[
-                   {"name":"BM_A","ns_per_op":1.0},
-                   {"name":"BM_A","ns_per_op":2.0}]})"),
+                   {"name":"BM_A","run_type":"iteration","real_time":1.0,"time_unit":"ns"},
+                   {"name":"BM_A","run_type":"iteration","real_time":2.0,"time_unit":"ns"}]})"),
                  std::runtime_error);
+    // A core count must be a positive integer.
+    for (const std::string cpus : {"0", "-4", "2.5", "\"4\""}) {
+        EXPECT_THROW(baseline_of(R"({"context":{"num_cpus":)" + cpus +
+                                 R"(},"benchmarks":[]})"),
+                     std::runtime_error)
+            << cpus;
+    }
 }
 
 // ---- diff classification -----------------------------------------------
@@ -297,11 +341,25 @@ std::string write_temp_json(const std::string& name, const std::string& text) {
     return path;
 }
 
+/// A google-benchmark report of `rows`, with context.num_cpus when
+/// `num_cpus` is non-zero.
+std::string report(const std::string& rows, int num_cpus = 0) {
+    const std::string context =
+        num_cpus > 0 ? R"("context":{"num_cpus":)" + std::to_string(num_cpus) + "},"
+                     : "";
+    return "{" + context + R"("benchmarks":[)" + rows + "]}";
+}
+
+/// One iteration row timed in nanoseconds.
+std::string row(const std::string& name, double ns, const std::string& extra = "") {
+    return R"({"name":")" + name + R"(","run_type":"iteration","real_time":)" +
+           std::to_string(ns) + R"(,"time_unit":"ns")" + extra + "}";
+}
+
 TEST(PerfDiffCli, ExitCodesMatchTheContract) {
-    const std::string base = write_temp_json(
-        "base.json", R"({"benchmarks":[{"name":"BM_A","ns_per_op":100.0}]})");
-    const std::string slower = write_temp_json(
-        "slower.json", R"({"benchmarks":[{"name":"BM_A","ns_per_op":200.0}]})");
+    const std::string base = write_temp_json("base.json", report(row("BM_A", 100.0)));
+    const std::string slower =
+        write_temp_json("slower.json", report(row("BM_A", 200.0)));
     const std::string bad = write_temp_json("bad.json", R"({"oops":true})");
 
     EXPECT_EQ(run_perfdiff(base + " " + base), 0);                    // ok
@@ -313,18 +371,20 @@ TEST(PerfDiffCli, ExitCodesMatchTheContract) {
     EXPECT_EQ(run_perfdiff(base + " /nonexistent-qrn/cur.json"), 3);  // I/O
 }
 
+/// A BM_CampaignJobs family whose jobs-8 throughput is `ratio` times the
+/// jobs-1 throughput, measured on a `num_cpus`-core host.
+std::string scaling_report(double ratio, int num_cpus = 4) {
+    return report(row("BM_CampaignJobs/1/real_time", 100.0, R"(,"items_per_second":1e6)") +
+                      "," +
+                      row("BM_CampaignJobs/8/real_time", 100.0,
+                          R"(,"items_per_second":)" + std::to_string(1e6 * ratio)),
+                  num_cpus);
+}
+
 TEST(PerfDiffCli, ScalingFlagGatesEfficiencyRegressions) {
-    const auto doc = [](double ratio) {
-        return R"({"benchmarks":[
-          {"name":"BM_CampaignJobs/1/real_time","ns_per_op":100.0,
-           "items_per_second":1e6},
-          {"name":"BM_CampaignJobs/8/real_time","ns_per_op":100.0,
-           "items_per_second":)" +
-               std::to_string(1e6 * ratio) + "}]}";
-    };
-    const std::string base = write_temp_json("scale_base.json", doc(3.0));
-    const std::string held = write_temp_json("scale_held.json", doc(2.9));
-    const std::string lost = write_temp_json("scale_lost.json", doc(1.5));
+    const std::string base = write_temp_json("scale_base.json", scaling_report(3.0));
+    const std::string held = write_temp_json("scale_held.json", scaling_report(2.9));
+    const std::string lost = write_temp_json("scale_lost.json", scaling_report(1.5));
 
     const std::string flag = " --scaling BM_CampaignJobs";
     EXPECT_EQ(run_perfdiff(base + " " + held + flag), 0);
@@ -338,17 +398,26 @@ TEST(PerfDiffCli, ScalingFlagGatesEfficiencyRegressions) {
     EXPECT_EQ(run_perfdiff(base + " " + held + flag + " --min-ratio -1"), 1);
 }
 
+TEST(PerfDiffCli, MinRatioRefusesReportsFromDifferentHosts) {
+    const std::string four = write_temp_json("host_four.json", scaling_report(3.0, 4));
+    const std::string eight = write_temp_json("host_eight.json", scaling_report(3.0, 8));
+    const std::string unknown =
+        write_temp_json("host_unknown.json", scaling_report(3.0, 0));
+    const std::string flag = " --scaling BM_CampaignJobs --min-ratio 2.0";
+
+    EXPECT_EQ(run_perfdiff(four + " " + four + flag), 0);
+    EXPECT_EQ(run_perfdiff(four + " " + eight + flag), 1);
+    EXPECT_EQ(run_perfdiff(unknown + " " + four + flag), 1);
+    EXPECT_EQ(run_perfdiff(four + " " + unknown + flag), 1);
+    EXPECT_NE(run_perfdiff_output(four + " " + eight + flag).find("same core count"),
+              std::string::npos);
+    // Without a floor the relative gates still compare across hosts.
+    EXPECT_EQ(run_perfdiff(unknown + " " + eight + " --scaling BM_CampaignJobs"), 0);
+}
+
 TEST(PerfDiffCli, WarnsWhenBaselineRatioIsBelowTheFloor) {
-    const auto doc = [](double ratio) {
-        return R"({"benchmarks":[
-          {"name":"BM_CampaignJobs/1/real_time","ns_per_op":100.0,
-           "items_per_second":1e6},
-          {"name":"BM_CampaignJobs/8/real_time","ns_per_op":100.0,
-           "items_per_second":)" +
-               std::to_string(1e6 * ratio) + "}]}";
-    };
-    const std::string stale = write_temp_json("floor_stale.json", doc(1.08));
-    const std::string good = write_temp_json("floor_good.json", doc(2.5));
+    const std::string stale = write_temp_json("floor_stale.json", scaling_report(1.08));
+    const std::string good = write_temp_json("floor_good.json", scaling_report(2.5));
     const std::string flag = " --scaling BM_CampaignJobs --min-ratio 2.0";
 
     // Current run clears the floor, so the gate passes - but the warning
