@@ -24,6 +24,7 @@
 #include "serve/server.h"
 #include "serve/service.h"
 #include "serve/stream.h"
+#include "store/crc32.h"
 #include "store/shard.h"
 #include "qrn/qrn.h"
 #include "qrn/banding.h"
@@ -334,6 +335,34 @@ void BM_ShardRead(benchmark::State& state) {
     std::filesystem::remove(path);
 }
 BENCHMARK(BM_ShardRead)->Arg(1000)->Arg(10000);
+
+/// One sealed-shard integrity scan from open to close at the size a warm
+/// campaign cache hit re-verifies. At 16 records the per-file cost (open,
+/// reads, close) dominates, which the per-record BM_ShardRead sizes hide.
+void BM_ShardVerify(benchmark::State& state) {
+    const std::string path = shard_bench_path("verify");
+    store::write_shard(path, 0xbe5c, 0,
+                       shard_bench_log(static_cast<std::size_t>(state.range(0))));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(store::verify_shard(path));
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+    std::filesystem::remove(path);
+}
+BENCHMARK(BM_ShardVerify)->Arg(16);
+
+/// CRC-32 throughput per byte over random bytes: every shard frame the
+/// writer seals and every reader scan checksums pays it.
+void BM_Crc32(benchmark::State& state) {
+    stats::Rng rng(29);
+    std::string bytes(static_cast<std::size_t>(state.range(0)), '\0');
+    for (char& byte : bytes) byte = static_cast<char>(rng() & 0xFFu);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(store::crc32(bytes));
+    }
+    state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(16384);
 
 /// The serve daemon's hot path, end to end over loopback: one client
 /// streaming classify batches of range(0) records each through a real

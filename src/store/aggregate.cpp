@@ -1,5 +1,7 @@
 #include "store/aggregate.h"
 
+#include <string>
+
 #include "exec/parallel.h"
 #include "store/shard.h"
 
@@ -22,6 +24,16 @@ StoreAggregate aggregate_evidence(const std::vector<ShardRef>& shards,
                         fleet.type_events[k] += counts[k];
                     }
                 });
+            // The header names the fleet the shard was sealed for; a shard
+            // copied or renamed into another fleet's slot must not be
+            // folded there.
+            if (info.fleet_index != shards[s].fleet_index) {
+                throw StoreError(StoreErrorKind::Inconsistent,
+                                 shards[s].path + ": shard header is fleet " +
+                                     std::to_string(info.fleet_index) +
+                                     " but it is listed as fleet " +
+                                     std::to_string(shards[s].fleet_index));
+            }
             fleet.records = info.records;
             fleet.exposure_hours = info.totals.exposure_hours;
             return fleet;

@@ -20,7 +20,7 @@ namespace qrn::store {
 
 /// One shard to aggregate, in campaign fleet order.
 struct ShardRef {
-    std::uint64_t fleet_index = 0;
+    std::uint64_t fleet_index = 0;  ///< Must match the shard header's fleet.
     std::string path;
 };
 
@@ -31,7 +31,9 @@ using StoreAggregate = sim::CampaignAggregate;
 /// Streams every shard once and folds the partials in fleet order. Shards
 /// are scanned in parallel (`jobs`); the fold is serial, so the result is
 /// bit-identical for every jobs value and equal to the in-memory
-/// CampaignResult::aggregate. Throws StoreError on any shard defect.
+/// CampaignResult::aggregate. Throws StoreError on any shard defect, and
+/// StoreError(Inconsistent) when a shard's header names another fleet than
+/// its ShardRef.
 [[nodiscard]] StoreAggregate aggregate_evidence(const std::vector<ShardRef>& shards,
                                                 const IncidentTypeSet& types,
                                                 unsigned jobs);

@@ -2,7 +2,8 @@
 //
 // Every payload block and the sealed footer of a qrn-store shard carry a
 // CRC so that truncation and bit-flips are detected at read time instead of
-// silently skewing Eq. 1 evidence (docs/STORE.md). Table-driven and
+// silently skewing Eq. 1 evidence (docs/STORE.md). Slice-by-8 over eight
+// compile-time tables, portable C++ with no CPU-feature dispatch, and
 // self-contained: no dependency on zlib or any other library the container
 // may not have.
 #pragma once

@@ -1,10 +1,17 @@
 #include "store/shard.h"
 
+#include <algorithm>
+#include <array>
+#include <cerrno>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <utility>
 #include <vector>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include "obs/metrics.h"
 #include "store/crc32.h"
@@ -154,19 +161,40 @@ SealReceipt ShardWriter::seal(const ShardTotals& totals) {
 
 // ---- reader ------------------------------------------------------------
 
+namespace {
+
+/// The read buffer holds exactly the largest legal frame: a full block
+/// (tag, count, kBlockRecords records, CRC). Every frame - header (36
+/// bytes), block, footer (80) - therefore fits whole and is parsed where
+/// it lies, and memory stays O(block) however long the shard is.
+constexpr std::size_t kBufferBytes = 8 + std::size_t{kBlockRecords} * kRecordBytes + 4;
+static_assert(kBufferBytes == 8 + 512 * 28 + 4,
+              "the shard read buffer must equal the largest legal frame");
+static_assert(kHeaderBytes <= kBufferBytes && 4 + kFooterPayloadBytes + 4 <= kBufferBytes);
+
+}  // namespace
+
 struct ShardReader::In {
-    std::ifstream stream;
+    int fd = -1;
+    std::array<char, kBufferBytes> bytes;  ///< Written by read() before any use.
+
+    In() = default;
+    In(const In&) = delete;
+    In& operator=(const In&) = delete;
+    ~In() {
+        if (fd >= 0) ::close(fd);
+    }
 };
 
 ShardReader::ShardReader(std::string path)
-    : path_(std::move(path)), in_(std::make_unique<In>()) {
-    in_->stream.open(path_, std::ios::binary);
-    if (!in_->stream) {
+    // for_overwrite: the buffer is only ever read after read() filled it.
+    : path_(std::move(path)), in_(std::make_unique_for_overwrite<In>()) {
+    in_->fd = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
+    if (in_->fd < 0) {
         throw StoreError(StoreErrorKind::Io, "cannot open " + path_);
     }
-    std::string header;
-    read_exact(header, kHeaderBytes, "header");
-    if (std::string_view(header).substr(0, kShardMagic.size()) != kShardMagic) {
+    const std::string_view header = take(kHeaderBytes, "header");
+    if (header.substr(0, kShardMagic.size()) != kShardMagic) {
         throw StoreError(StoreErrorKind::BadMagic,
                          path_ + ": not a qrn-store shard (bad magic)");
     }
@@ -178,8 +206,7 @@ ShardReader::ShardReader(std::string path)
                              std::to_string(kShardVersion));
     }
     const std::uint32_t stored_crc = get_u32(header, kHeaderPayloadBytes);
-    const std::uint32_t actual_crc =
-        crc32(std::string_view(header).substr(0, kHeaderPayloadBytes));
+    const std::uint32_t actual_crc = crc32(header.substr(0, kHeaderPayloadBytes));
     if (stored_crc != actual_crc) {
         throw StoreError(StoreErrorKind::Checksum,
                          path_ + ": header checksum mismatch");
@@ -191,19 +218,37 @@ ShardReader::ShardReader(std::string path)
 ShardReader::~ShardReader() = default;
 
 std::size_t ShardReader::read_some(char* into, std::size_t want) {
-    in_->stream.read(into, static_cast<std::streamsize>(want));
-    const auto got = static_cast<std::size_t>(in_->stream.gcount());
-    if (in_->stream.bad()) {
-        throw StoreError(StoreErrorKind::Io, "read failed for " + path_);
+    for (;;) {
+        const ssize_t got = ::read(in_->fd, into, want);
+        if (got >= 0) {
+            bytes_read_ += static_cast<std::uint64_t>(got);
+            return static_cast<std::size_t>(got);
+        }
+        if (errno != EINTR) {
+            throw StoreError(StoreErrorKind::Io, "read failed for " + path_);
+        }
     }
-    bytes_read_ += got;
-    return got;
 }
 
-void ShardReader::read_exact(std::string& into, std::size_t want,
-                             std::string_view what) {
-    into.resize(want);
-    const std::size_t got = read_some(into.data(), want);
+std::size_t ShardReader::fill(std::size_t want) {
+    if (end_ - begin_ < want) {
+        // Slide the unparsed tail to the front and read behind it until
+        // the frame is whole or the file ends; want <= kBufferBytes.
+        std::memmove(in_->bytes.data(), in_->bytes.data() + begin_, end_ - begin_);
+        end_ -= begin_;
+        begin_ = 0;
+        while (end_ < want) {
+            const std::size_t got =
+                read_some(in_->bytes.data() + end_, in_->bytes.size() - end_);
+            if (got == 0) break;
+            end_ += got;
+        }
+    }
+    return std::min(end_ - begin_, want);
+}
+
+std::string_view ShardReader::take(std::size_t want, std::string_view what) {
+    const std::size_t got = fill(want);
     if (got != want) {
         throw StoreError(StoreErrorKind::Truncated,
                          path_ + ": unexpected end of file inside " +
@@ -212,6 +257,9 @@ void ShardReader::read_exact(std::string& into, std::size_t want,
                              std::to_string(got) + "); the shard was never "
                              "sealed or has been cut short");
     }
+    const std::string_view bytes(in_->bytes.data() + begin_, want);
+    begin_ += want;
+    return bytes;
 }
 
 ShardInfo ShardReader::for_each_block(
@@ -223,13 +271,11 @@ ShardInfo ShardReader::for_each_block(
     const obs::ScopedTimer timer("store.shard_read_ns");
     try {
         std::uint64_t records = 0;
-        std::string buffer;
         // One row buffer reused for every block: its capacity settles at
         // kBlockRecords and the scan allocates nothing further.
         std::vector<Incident> rows;
         for (;;) {
-            char tag_bytes[4];
-            const std::size_t got = read_some(tag_bytes, 4);
+            const std::size_t got = fill(4);
             if (got == 0) {
                 throw StoreError(StoreErrorKind::Truncated,
                                  path_ + ": end of file before the sealed "
@@ -240,10 +286,11 @@ ShardInfo ShardReader::for_each_block(
                 throw StoreError(StoreErrorKind::Truncated,
                                  path_ + ": torn frame tag at end of file");
             }
-            const std::uint32_t tag = get_u32(std::string_view(tag_bytes, 4), 0);
+            // A view from take() points into the buffer and dies with the
+            // next fill(): every field is decoded before reading on.
+            const std::uint32_t tag = get_u32(take(4, "frame tag"), 0);
             if (tag == kBlockTag) {
-                read_exact(buffer, 4, "block header");
-                const std::uint32_t count = get_u32(buffer, 0);
+                const std::uint32_t count = get_u32(take(4, "block header"), 0);
                 if (count == 0 || count > kBlockRecords) {
                     throw StoreError(StoreErrorKind::Inconsistent,
                                      path_ + ": block claims " +
@@ -251,11 +298,11 @@ ShardInfo ShardReader::for_each_block(
                                          " records (valid range is 1.." +
                                          std::to_string(kBlockRecords) + ")");
                 }
-                read_exact(buffer, static_cast<std::size_t>(count) * kRecordBytes + 4,
-                           "record block");
-                const std::string_view payload =
-                    std::string_view(buffer).substr(0, buffer.size() - 4);
-                const std::uint32_t stored = get_u32(buffer, buffer.size() - 4);
+                const std::string_view block =
+                    take(static_cast<std::size_t>(count) * kRecordBytes + 4,
+                         "record block");
+                const std::string_view payload = block.substr(0, block.size() - 4);
+                const std::uint32_t stored = get_u32(block, block.size() - 4);
                 if (stored != crc32(payload)) {
                     throw StoreError(StoreErrorKind::Checksum,
                                      path_ + ": block checksum mismatch "
@@ -272,10 +319,9 @@ ShardInfo ShardReader::for_each_block(
                 continue;
             }
             if (tag == kFooterTag) {
-                read_exact(buffer, kFooterPayloadBytes + 4, "footer");
-                const std::string_view payload =
-                    std::string_view(buffer).substr(0, kFooterPayloadBytes);
-                const std::uint32_t stored = get_u32(buffer, kFooterPayloadBytes);
+                const std::string_view footer = take(kFooterPayloadBytes + 4, "footer");
+                const std::string_view payload = footer.substr(0, kFooterPayloadBytes);
+                const std::uint32_t stored = get_u32(footer, kFooterPayloadBytes);
                 if (stored != crc32(payload)) {
                     throw StoreError(StoreErrorKind::Checksum,
                                      path_ + ": footer checksum mismatch");
@@ -310,8 +356,9 @@ ShardInfo ShardReader::for_each_block(
                                      path_ + ": footer exposure is not a "
                                              "finite non-negative number");
                 }
-                char trailing;
-                if (read_some(&trailing, 1) != 0) {
+                // Sealed means the footer ends the file: nothing may remain
+                // buffered, and one more read must report end of file.
+                if (begin_ != end_ || read_some(in_->bytes.data(), 1) != 0) {
                     throw StoreError(StoreErrorKind::Inconsistent,
                                      path_ + ": trailing bytes after the "
                                              "sealed footer");

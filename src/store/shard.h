@@ -90,10 +90,13 @@ private:
 /// for_each_block then streams the records a block at a time (each block
 /// CRC-checked before its records are surfaced) and finally validates the
 /// sealed footer against what was actually read. Single pass, O(block)
-/// memory: aggregation over shards never materializes a whole log.
+/// memory: the file is read through one descriptor into one buffer the
+/// size of the largest legal frame, and every frame is parsed in place
+/// there, so aggregation over shards never materializes a whole log.
 class ShardReader {
 public:
     /// Opens the shard and validates magic, version and header CRC.
+    /// Throws StoreError(Io) when the file cannot be opened or read.
     explicit ShardReader(std::string path);
     ~ShardReader();
 
@@ -110,11 +113,14 @@ public:
 
 private:
     [[nodiscard]] std::size_t read_some(char* into, std::size_t want);
-    void read_exact(std::string& into, std::size_t want, std::string_view what);
+    [[nodiscard]] std::size_t fill(std::size_t want);
+    [[nodiscard]] std::string_view take(std::size_t want, std::string_view what);
 
     std::string path_;
-    struct In;  ///< Keeps <fstream> out of every includer of this header.
+    struct In;  ///< The descriptor and its frame buffer, closed on destruction.
     std::unique_ptr<In> in_;
+    std::size_t begin_ = 0;  ///< First buffered byte not yet parsed.
+    std::size_t end_ = 0;    ///< One past the last buffered byte.
     std::uint64_t cache_key_ = 0;
     std::uint64_t fleet_index_ = 0;
     std::uint64_t bytes_read_ = 0;

@@ -262,6 +262,37 @@ TEST_F(ServeE2E, DrainSealsThePartialShardAndRestartResumesThere) {
     EXPECT_EQ(c.verify().status, Status::Ok);
 }
 
+TEST_F(ServeE2E, RestartRejectsAShardSealedUnderAnotherSequence) {
+    // The startup re-scan walks the manifest in sequence order, but only a
+    // shard's header says which sequence its bytes were sealed as. A copy
+    // of shard 1 over shard 2 passes every checksum and must still fail
+    // startup instead of being folded twice.
+    ServiceConfig config;
+    config.store_dir = dir_ + "/store";
+    config.shard_roll = 16;
+    {
+        Service service(RiskNorm::paper_example(), IncidentTypeSet::paper_vru_example(),
+                        config);
+        ClassifyRequest request;
+        request.exposure_hours = 6.0;
+        request.incidents = sample_batch(48);
+        (void)service.classify_batch(request);
+        ASSERT_EQ(service.status().shards_sealed, 3u);
+    }
+    const store::Store st(config.store_dir);
+    const auto entries = st.entries();
+    ASSERT_EQ(entries.size(), 3u);
+    std::filesystem::copy_file(st.shard_path(entries[1]), st.shard_path(entries[2]),
+                               std::filesystem::copy_options::overwrite_existing);
+    try {
+        const Service restarted(RiskNorm::paper_example(),
+                                IncidentTypeSet::paper_vru_example(), config);
+        FAIL() << "expected StoreError for a shard under the wrong sequence";
+    } catch (const store::StoreError& error) {
+        EXPECT_EQ(error.kind(), store::StoreErrorKind::Inconsistent);
+    }
+}
+
 TEST_F(ServeE2E, TcpLoopbackServesTheSameProtocol) {
     ServiceConfig service_config;
     service_config.store_dir = dir_ + "/store";

@@ -174,6 +174,31 @@ TEST(Aggregate, PropagatesShardCorruption) {
     std::filesystem::remove_all(dir);
 }
 
+TEST(Aggregate, RejectsAShardFiledUnderAnotherFleet) {
+    // A sealed shard passes every checksum wherever it lies, so only its
+    // header says which fleet it belongs to. Fleet 1's shard copied over
+    // fleet 2's path must not be counted twice.
+    const auto config = small_campaign();
+    const auto result = sim::run_campaign(config);
+    const auto types = IncidentTypeSet::paper_vru_example();
+    const std::string dir = fresh_dir("misfiled");
+    const auto shards = shards_of(result, dir);
+    std::filesystem::copy_file(shards[1].path, shards[2].path,
+                               std::filesystem::copy_options::overwrite_existing);
+
+    try {
+        (void)aggregate_evidence(shards, types, 2);
+        FAIL() << "expected StoreError for a misfiled shard";
+    } catch (const StoreError& error) {
+        EXPECT_EQ(error.kind(), StoreErrorKind::Inconsistent);
+        const std::string what = error.what();
+        EXPECT_NE(what.find(shards[2].path), std::string::npos) << what;
+        EXPECT_NE(what.find("fleet 1"), std::string::npos) << what;
+        EXPECT_NE(what.find("fleet 2"), std::string::npos) << what;
+    }
+    std::filesystem::remove_all(dir);
+}
+
 TEST(Aggregate, EmptyShardListIsAnEmptyAggregate) {
     const auto types = IncidentTypeSet::paper_vru_example();
     const StoreAggregate agg = aggregate_evidence({}, types, 1);

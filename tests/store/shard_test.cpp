@@ -1,6 +1,7 @@
 // Shard format: bit-identical round trips, block framing, crash safety of
-// the temp-file protocol, and the corruption matrix (every StoreErrorKind
-// surfaces for the defect that defines it).
+// the temp-file protocol, the corruption matrix (every StoreErrorKind
+// surfaces for the defect that defines it), and exhaustive mutations of the
+// pinned golden shard for the reader's buffer handling.
 #include "store/shard.h"
 
 #include <bit>
@@ -8,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -16,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "store/campaign_store.h"
 #include "store/crc32.h"
 #include "store/format.h"
 #include "store/sync.h"
@@ -104,6 +107,71 @@ StoreErrorKind kind_of(const std::string& path) {
     }
     ADD_FAILURE() << "expected a StoreError from " << path;
     return StoreErrorKind::Io;
+}
+
+/// The largest legal frame, a full block: tag, count, kBlockRecords
+/// records, CRC. The reader's buffer is exactly this size, so a sealed
+/// shard of this length arrives whole in the first read.
+constexpr std::size_t kLargestFrameBytes = 8 + std::size_t{kBlockRecords} * kRecordBytes + 4;
+
+/// What verify_shard makes of the file at `path`: nullopt when it
+/// accepts it.
+std::optional<StoreErrorKind> verdict(const std::string& path) {
+    try {
+        (void)verify_shard(path);
+    } catch (const StoreError& error) {
+        return error.kind();
+    }
+    return std::nullopt;
+}
+
+/// The fleet CampaignStore.SealedFleetShardMatchesPinnedBytes pins.
+std::string golden_shard_bytes() {
+    sim::CampaignConfig config;
+    config.base.odd = sim::Odd::urban();
+    config.base.policy = sim::TacticalPolicy::nominal();
+    config.base.seed = 100;
+    config.fleets = 4;
+    config.hours_per_fleet = 400.0;
+    const std::string dir = ::testing::TempDir() + "qrn_shard_mutation_golden";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const ShardEntry entry = simulate_fleet_shard(config, dir, 2, 0x5eed0f1eed5eedULL);
+    std::string bytes = slurp(dir + "/" + entry.file);
+    std::filesystem::remove_all(dir);
+    return bytes;
+}
+
+/// A sealed shard assembled by hand from blocks of the given sizes - a
+/// partition the writer, which fills every block but the last, never
+/// produces, yet one the format allows and every reader must accept.
+std::string craft_shard(const std::vector<std::uint32_t>& block_records,
+                        std::uint64_t cache_key) {
+    std::string header(kShardMagic);
+    put_u32(header, kShardVersion);
+    put_u32(header, 0);
+    put_u64(header, cache_key);
+    put_u64(header, 0);
+    std::string out = header;
+    put_u32(out, crc32(header));
+    std::uint64_t records = 0;
+    for (const std::uint32_t count : block_records) {
+        std::string payload;
+        for (std::uint32_t r = 0; r < count; ++r) encode_record(payload, sample_incident(records++));
+        put_u32(out, kBlockTag);
+        put_u32(out, count);
+        out += payload;
+        put_u32(out, crc32(payload));
+    }
+    std::string footer;
+    put_u64(footer, records);
+    put_f64(footer, 10.0);
+    for (int counter = 0; counter < 6; ++counter) put_u64(footer, 0);
+    put_u64(footer, cache_key);
+    put_u32(out, kFooterTag);
+    out += footer;
+    put_u32(out, crc32(footer));
+    return out;
 }
 
 TEST(Codec, LittleEndianRoundTrip) {
@@ -400,6 +468,99 @@ TEST(Shard, VerifyAgreesWithRead) {
     EXPECT_EQ(verify_info.records, read_info.records);
     EXPECT_EQ(verify_info.totals, read_info.totals);
     EXPECT_EQ(verify_info.file_bytes, read_info.file_bytes);
+    std::filesystem::remove(path);
+}
+
+TEST(ShardMutation, EveryBitFlipAndTruncationOfTheGoldenShardIsCorruption) {
+    const std::string golden = golden_shard_bytes();
+    ASSERT_EQ(golden.size(), 1864u);
+    ASSERT_EQ(crc32(golden), 0xbe61d934u);
+    const std::string path = temp_shard("mutation_golden");
+    spit(path, golden);
+    ASSERT_FALSE(verdict(path).has_value());
+
+    // CRC-32 detects every single-bit error, and the header fields it does
+    // not cover are checked first (magic, version) or bound the frame
+    // (tags, block count), so no flip may be accepted or pass for a
+    // missing file. Failures are collected, not asserted one by one.
+    // Flips are poked into the file in place and truncations cut it
+    // shorter step by step, which keeps 16776 scans well inside a second.
+    std::vector<std::string> failures;
+    const auto expect_corruption = [&](const std::string& what) {
+        const std::optional<StoreErrorKind> kind = verdict(path);
+        if (!kind.has_value()) {
+            failures.push_back(what + ": accepted");
+        } else if (*kind == StoreErrorKind::Io) {
+            failures.push_back(what + ": reported as io");
+        }
+    };
+    {
+        std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+        ASSERT_TRUE(file.is_open()) << path;
+        const auto poke = [&](std::size_t at, char value) {
+            file.seekp(static_cast<std::streamoff>(at));
+            file.put(value);
+            file.flush();
+            ASSERT_TRUE(file.good()) << "poke at " << at;
+        };
+        for (std::size_t byte = 0; byte < golden.size(); ++byte) {
+            for (int bit = 0; bit < 8; ++bit) {
+                poke(byte, static_cast<char>(golden[byte] ^ (1 << bit)));
+                expect_corruption("flip byte " + std::to_string(byte) + " bit " +
+                                  std::to_string(bit));
+            }
+            poke(byte, golden[byte]);
+        }
+    }
+    ASSERT_EQ(slurp(path), golden);
+    for (std::size_t length = golden.size(); length-- > 0;) {
+        std::filesystem::resize_file(path, length);
+        expect_corruption("truncate to " + std::to_string(length));
+    }
+    EXPECT_EQ(failures.size(), 0u)
+        << "first: " << (failures.empty() ? std::string() : failures.front());
+    std::filesystem::remove(path);
+}
+
+TEST(ShardMutation, FramesStraddlingBufferRefillsReadBackBitIdentically) {
+    // Three full blocks and a partial one. Each block frame is exactly the
+    // buffer's size but starts off a read boundary, so every block makes
+    // the reader compact its buffer and refill it mid-frame; a 511-record
+    // tail also splits the footer across two reads.
+    for (const std::size_t tail : {std::size_t{1}, std::size_t{511}}) {
+        const std::string path = temp_shard("mutation_straddle_" + std::to_string(tail));
+        const sim::IncidentLog log = sample_log(3 * kBlockRecords + tail);
+        write_shard(path, 0xc0ffee, 5, log);
+
+        sim::IncidentLog back;
+        const ShardInfo info = read_shard(path, back);
+        EXPECT_EQ(info.records, log.incidents.size());
+        EXPECT_EQ(info.fleet_index, 5u);
+        EXPECT_EQ(info.file_bytes, std::filesystem::file_size(path));
+        expect_bit_identical(log, back);
+        std::filesystem::remove(path);
+    }
+}
+
+TEST(ShardMutation, TrailingBytesBeyondTheFirstReadAreInconsistent) {
+    // Garbage behind a multi-read shard arrives in the same read as the
+    // footer's end.
+    const std::string path = temp_shard("mutation_trailing");
+    write_shard(path, 0xc0ffee, 0, sample_log(3 * kBlockRecords + 511));
+    spit(path, slurp(path) + "junk");
+    EXPECT_EQ(kind_of(path), StoreErrorKind::Inconsistent);
+
+    // A sealed shard exactly one buffer long fills the first read to the
+    // byte, so a trailing byte shows up only in the read after the footer.
+    // 3 x 169 records is the writer-independent partition that lands there.
+    const std::string exact = craft_shard({169, 169, 169}, 0xc0ffee);
+    ASSERT_EQ(exact.size(), kLargestFrameBytes);
+    spit(path, exact);
+    const ShardInfo info = verify_shard(path);
+    EXPECT_EQ(info.records, 507u);
+    EXPECT_EQ(info.file_bytes, kLargestFrameBytes);
+    spit(path, exact + "x");
+    EXPECT_EQ(kind_of(path), StoreErrorKind::Inconsistent);
     std::filesystem::remove(path);
 }
 
