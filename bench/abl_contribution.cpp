@@ -10,7 +10,7 @@
 //
 // Expected shape: empirical fractions and budgets converge to the analytic
 // ones as the sample grows; small databases give noisy budgets - the reason
-// a real safety case needs the conservative upper bounds.
+// a real safety case must substantiate its fractions with enough data.
 #include <cmath>
 #include <cstdint>
 #include <iostream>

@@ -120,11 +120,16 @@ int main(int argc, char** argv) {
     } else if (verification.norm_point_fulfilled()) {
         std::cout << "Point estimates inside the norm, but confidence bounds are not "
                      "conclusive yet - more operational exposure needed.\n";
-        for (std::size_t j = 0; j < norm.size(); ++j) {
-            std::cout << "  to demonstrate " << norm.classes().at(j).id
+        // Every type shares the log's exposure T, and at fixed counts every
+        // upper bound scales as 1/T. So with no further event, class j
+        // reads FULFILLED from T * upper_usage_j / L_j hours in total.
+        for (const auto& c : verification.classes) {
+            if (c.verdict == ClassVerdict::Fulfilled) continue;
+            std::cout << "  to demonstrate " << c.class_id
                       << " with zero further events: "
-                      << exposure_to_demonstrate(norm.limit(j), 0.95).hours()
-                      << " h\n";
+                      << log.exposure.hours() * c.upper_usage.per_hour_value() /
+                             c.limit.per_hour_value()
+                      << " h in total\n";
         }
     } else {
         std::cout << "Risk norm VIOLATED - the FSC must change the tactical policy "

@@ -1,7 +1,7 @@
 // Deterministic parallel-for / parallel-map over index ranges.
 //
 // Every stochastic workload in the toolkit (fleet campaigns, the MECE
-// sampling certificate, bootstrap resampling, incident labelling) is a map
+// sampling certificate, incident labelling) is a map
 // over an index range where item i's randomness comes from its own RNG
 // stream (stats::Rng::stream(seed, i)). That makes the work
 // schedule-independent: these helpers only have to (a) spread chunks over

@@ -55,10 +55,6 @@ void ThreadPool::submit(std::function<void()> task) {
     }
 }
 
-unsigned ThreadPool::size() const noexcept {
-    return static_cast<unsigned>(workers_.size());
-}
-
 ThreadPool& ThreadPool::shared() {
     static ThreadPool pool(std::max(1u, std::thread::hardware_concurrency()));
     return pool;

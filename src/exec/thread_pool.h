@@ -43,9 +43,6 @@ public:
     /// submitting. Thread-safe. Throws std::logic_error after stop().
     void submit(std::function<void()> task);
 
-    /// Number of worker threads.
-    [[nodiscard]] unsigned size() const noexcept;
-
     /// The process-wide pool, lazily started with hardware_concurrency
     /// workers. Shared by every parallel_* call so repeated campaigns do
     /// not pay thread start-up per invocation.

@@ -1,6 +1,5 @@
 #include "fsc/fsr.h"
 
-#include <sstream>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -40,10 +39,6 @@ GoalRefinement::GoalRefinement(SafetyGoal goal,
     }
 }
 
-Frequency GoalRefinement::margin() const {
-    return goal_.max_frequency.saturating_sub(combined_rate());
-}
-
 FunctionalSafetyConcept::FunctionalSafetyConcept(const SafetyGoalSet& goals,
                                                  std::vector<GoalRefinement> refinements)
     : refinements_(std::move(refinements)) {
@@ -59,13 +54,6 @@ FunctionalSafetyConcept::FunctionalSafetyConcept(const SafetyGoalSet& goals,
                                         " has no refinement");
         }
     }
-}
-
-const GoalRefinement& FunctionalSafetyConcept::at(std::size_t index) const {
-    if (index >= refinements_.size()) {
-        throw std::out_of_range("FunctionalSafetyConcept::at: bad index");
-    }
-    return refinements_[index];
 }
 
 const GoalRefinement& FunctionalSafetyConcept::by_goal(
@@ -84,39 +72,6 @@ std::vector<FunctionalSafetyRequirement> FunctionalSafetyConcept::all_requiremen
         out.insert(out.end(), r.requirements().begin(), r.requirements().end());
     }
     return out;
-}
-
-Frequency FunctionalSafetyConcept::total_by_cause(quant::CauseCategory cause) const {
-    Frequency total;
-    for (const auto& r : refinements_) {
-        for (const auto& c : r.architecture().leaf_contributions()) {
-            if (c.cause == cause) total += c.rate;
-        }
-    }
-    return total;
-}
-
-std::string FunctionalSafetyConcept::render() const {
-    std::ostringstream os;
-    os << "Functional safety concept (" << refinements_.size() << " goals)\n"
-       << "==================================================\n";
-    for (const auto& r : refinements_) {
-        os << '\n'
-           << r.goal().id << ": " << r.goal().text << '\n'
-           << "  combined violation frequency: " << r.combined_rate().to_string()
-           << "  (margin " << r.margin().to_string() << ")\n"
-           << "  architecture:\n";
-        std::istringstream arch(r.architecture().render());
-        std::string line;
-        while (std::getline(arch, line)) os << "    " << line << '\n';
-        os << "  requirements:\n";
-        for (const auto& fsr : r.requirements()) {
-            os << "    " << fsr.id << " [" << fsr.element << ", "
-               << quant::to_string(fsr.cause) << ", <= " << fsr.budget.to_string()
-               << "]: " << fsr.text << '\n';
-        }
-    }
-    return os.str();
 }
 
 }  // namespace qrn::fsc

@@ -53,9 +53,6 @@ public:
     /// Combined violation frequency of the refinement.
     [[nodiscard]] Frequency combined_rate() const { return architecture_->evaluate(); }
 
-    /// Margin: SG budget minus combined rate (>= 0 by construction).
-    [[nodiscard]] Frequency margin() const;
-
 private:
     SafetyGoal goal_;
     std::vector<FunctionalSafetyRequirement> requirements_;
@@ -71,18 +68,10 @@ public:
                             std::vector<GoalRefinement> refinements);
 
     [[nodiscard]] std::size_t size() const noexcept { return refinements_.size(); }
-    [[nodiscard]] const GoalRefinement& at(std::size_t index) const;
     [[nodiscard]] const GoalRefinement& by_goal(std::string_view safety_goal_id) const;
 
     /// All requirements across all goals (for review tables).
     [[nodiscard]] std::vector<FunctionalSafetyRequirement> all_requirements() const;
-
-    /// Total violation frequency grouped by cause category, demonstrating
-    /// the Sec. V cause-agnostic budget accounting.
-    [[nodiscard]] Frequency total_by_cause(quant::CauseCategory cause) const;
-
-    /// Multi-line document rendering (goal, architecture, requirements).
-    [[nodiscard]] std::string render() const;
 
 private:
     std::vector<GoalRefinement> refinements_;

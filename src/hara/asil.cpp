@@ -34,6 +34,4 @@ bool asil_less(Asil a, Asil b) noexcept {
     return static_cast<int>(a) < static_cast<int>(b);
 }
 
-Asil asil_max(Asil a, Asil b) noexcept { return asil_less(a, b) ? b : a; }
-
 }  // namespace qrn::hara

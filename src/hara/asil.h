@@ -41,7 +41,4 @@ struct Decomposition {
 /// Total order QM < A < B < C < D.
 [[nodiscard]] bool asil_less(Asil a, Asil b) noexcept;
 
-/// The higher of two ASILs.
-[[nodiscard]] Asil asil_max(Asil a, Asil b) noexcept;
-
 }  // namespace qrn::hara

@@ -84,12 +84,4 @@ std::vector<SituationExposure> estimate_exposure(const SituationCatalog& catalog
     return out;
 }
 
-Exposure rating_of(const std::vector<SituationExposure>& estimate,
-                   std::uint64_t situation_index) noexcept {
-    for (const auto& e : estimate) {
-        if (e.situation_index == situation_index) return e.rating;
-    }
-    return Exposure::E0;
-}
-
 }  // namespace qrn::hara

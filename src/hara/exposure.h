@@ -51,9 +51,4 @@ struct SituationExposure {
     const SituationCatalog& catalog, const sim::Odd& odd, std::uint64_t samples,
     std::uint64_t seed);
 
-/// Convenience: the rating of one situation index within an estimate
-/// (E0 if absent).
-[[nodiscard]] Exposure rating_of(const std::vector<SituationExposure>& estimate,
-                                 std::uint64_t situation_index) noexcept;
-
 }  // namespace qrn::hara

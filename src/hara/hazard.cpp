@@ -43,15 +43,6 @@ std::vector<Hazard> derive_hazards(const std::vector<VehicleFunction>& functions
     return out;
 }
 
-std::vector<VehicleFunction> conventional_vehicle_functions() {
-    return {
-        {"longitudinal braking", "service brake actuation on driver demand"},
-        {"longitudinal acceleration", "powertrain torque on driver demand"},
-        {"lateral steering", "steering actuation on driver demand"},
-        {"gear selection", "transmission mode on driver demand"},
-    };
-}
-
 std::vector<VehicleFunction> ads_functions() {
     return {
         {"longitudinal braking", "brake actuation commanded by the ADS"},

@@ -49,9 +49,6 @@ struct Hazard {
 [[nodiscard]] std::vector<Hazard> derive_hazards(
     const std::vector<VehicleFunction>& functions);
 
-/// A representative function list for a conventional vehicle feature set.
-[[nodiscard]] std::vector<VehicleFunction> conventional_vehicle_functions();
-
 /// A representative function list for an ADS (motion control plus the
 /// tactical/perceptual functions that make HAZOP-per-function awkward).
 [[nodiscard]] std::vector<VehicleFunction> ads_functions();

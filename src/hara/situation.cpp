@@ -35,22 +35,6 @@ OperationalSituation SituationCatalog::at(std::uint64_t index) const {
     return s;
 }
 
-std::string SituationCatalog::describe(const OperationalSituation& situation) const {
-    if (situation.value_indices.size() != dimensions_.size()) {
-        throw std::invalid_argument("SituationCatalog::describe: dimension mismatch");
-    }
-    std::string out;
-    for (std::size_t d = 0; d < dimensions_.size(); ++d) {
-        const auto v = situation.value_indices[d];
-        if (v >= dimensions_[d].values.size()) {
-            throw std::out_of_range("SituationCatalog::describe: bad value index");
-        }
-        if (d > 0) out += " / ";
-        out += dimensions_[d].values[v];
-    }
-    return out;
-}
-
 SituationCatalog SituationCatalog::with_dimension(SituationDimension dimension) const {
     auto dims = dimensions_;
     dims.push_back(std::move(dimension));

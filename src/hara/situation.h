@@ -45,9 +45,6 @@ public:
     /// The i-th situation in lexicographic order. Requires i < size().
     [[nodiscard]] OperationalSituation at(std::uint64_t index) const;
 
-    /// Human-readable rendering, e.g. "highway / rain / 100-120 km/h".
-    [[nodiscard]] std::string describe(const OperationalSituation& situation) const;
-
     /// Returns a catalog extended by one more dimension (used by the
     /// growth bench to show multiplicative explosion).
     [[nodiscard]] SituationCatalog with_dimension(SituationDimension dimension) const;

@@ -177,13 +177,6 @@ bool ScopeTree::is_ancestor(int ancestor, int scope) const {
     return false;
 }
 
-int ScopeTree::enclosing(int scope, ScopeKind kind) const {
-    for (int s = scope; s >= 0; s = scopes_[static_cast<std::size_t>(s)].parent) {
-        if (scopes_[static_cast<std::size_t>(s)].kind == kind) return s;
-    }
-    return -1;
-}
-
 int ScopeTree::enclosing_function(int scope) const {
     for (int s = scope; s >= 0; s = scopes_[static_cast<std::size_t>(s)].parent) {
         const ScopeKind k = scopes_[static_cast<std::size_t>(s)].kind;

@@ -110,8 +110,6 @@ public:
     [[nodiscard]] int scope_at(std::size_t ci) const;
     /// True when `ancestor` is `scope` or one of its ancestors.
     [[nodiscard]] bool is_ancestor(int ancestor, int scope) const;
-    /// Nearest enclosing scope (self included) of `kind`, or -1.
-    [[nodiscard]] int enclosing(int scope, ScopeKind kind) const;
     /// Nearest enclosing Function or Lambda (self included), or -1.
     [[nodiscard]] int enclosing_function(int scope) const;
 

@@ -60,14 +60,6 @@ bool ContributionMatrix::contributes(std::size_t class_index,
     return fraction(class_index, type_index) > 0.0;
 }
 
-std::size_t ContributionMatrix::spread(std::size_t type_index) const {
-    std::size_t n = 0;
-    for (std::size_t j = 0; j < class_count_; ++j) {
-        if (contributes(j, type_index)) ++n;
-    }
-    return n;
-}
-
 ContributionMatrix ContributionMatrix::from_injury_model(
     const RiskNorm& norm, const IncidentTypeSet& types, const InjuryRiskModel& model,
     const std::vector<double>& near_miss_profile) {

@@ -39,11 +39,6 @@ public:
     /// True if incident type k contributes to class j at all.
     [[nodiscard]] bool contributes(std::size_t class_index, std::size_t type_index) const;
 
-    /// Number of classes a type contributes to. Sec. III-B: separating
-    /// incidents by severity should make "each I contribute to as few of
-    /// the defined v as possible"; benches report this spread.
-    [[nodiscard]] std::size_t spread(std::size_t type_index) const;
-
     /// Derives a matrix from the injury-risk model:
     ///  - collision types: band-average outcome distribution mapped onto the
     ///    norm's classes (material damage -> highest-severity quality class

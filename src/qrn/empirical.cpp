@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "exec/parallel.h"
-#include "stats/proportion.h"
 
 namespace qrn {
 
@@ -76,21 +75,6 @@ std::vector<LabelledIncident> label_incidents(std::span<const Incident> incident
                                               const RiskNorm& norm,
                                               const InjuryRiskModel& model,
                                               const std::vector<double>& near_miss_profile,
-                                              stats::Rng& rng) {
-    std::vector<LabelledIncident> out;
-    out.reserve(incidents.size());
-    for (const auto& incident : incidents) {
-        out.push_back(LabelledIncident{
-            incident,
-            sample_consequence(incident, norm, model, near_miss_profile, rng)});
-    }
-    return out;
-}
-
-std::vector<LabelledIncident> label_incidents(std::span<const Incident> incidents,
-                                              const RiskNorm& norm,
-                                              const InjuryRiskModel& model,
-                                              const std::vector<double>& near_miss_profile,
                                               std::uint64_t seed, unsigned jobs) {
     return exec::parallel_map<LabelledIncident>(
         jobs, incidents.size(), [&](std::size_t i) {
@@ -103,23 +87,6 @@ std::vector<LabelledIncident> label_incidents(std::span<const Incident> incident
 
 ContributionMatrix ContributionCounts::point_matrix() const {
     return ContributionMatrix::from_counts(counts.size(), totals.size(), counts, totals);
-}
-
-std::vector<std::vector<double>> ContributionCounts::upper_bounds(
-    double confidence) const {
-    std::vector<std::vector<double>> out(counts.size(),
-                                         std::vector<double>(totals.size(), 1.0));
-    for (std::size_t j = 0; j < counts.size(); ++j) {
-        for (std::size_t k = 0; k < totals.size(); ++k) {
-            if (totals[k] == 0) continue;  // no evidence: stay at 1.0
-            // One-sided upper bound = two-sided CP with doubled alpha.
-            const double two_sided = 1.0 - 2.0 * (1.0 - confidence);
-            const auto ci = stats::clopper_pearson_interval(
-                counts[j][k], totals[k], two_sided > 0.0 ? two_sided : confidence);
-            out[j][k] = ci.upper;
-        }
-    }
-    return out;
 }
 
 ContributionCounts tally_contributions(std::span<const LabelledIncident> labelled,

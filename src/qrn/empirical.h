@@ -7,8 +7,7 @@
 // recorded incident is labelled with a concrete consequence (sampled from
 // the injury-risk model for collisions, from an authored profile for near
 // misses), and the per-type consequence-class fractions are estimated from
-// the resulting counts - with exact Clopper-Pearson upper bounds for
-// conservative use in the safety argument.
+// the resulting counts.
 #pragma once
 
 #include <cstdint>
@@ -42,17 +41,10 @@ struct LabelledIncident {
     const Incident& incident, const RiskNorm& norm, const InjuryRiskModel& model,
     const std::vector<double>& near_miss_profile, stats::Rng& rng);
 
-/// Labels a whole incident log. Deterministic given the RNG.
-[[nodiscard]] std::vector<LabelledIncident> label_incidents(
-    std::span<const Incident> incidents, const RiskNorm& norm,
-    const InjuryRiskModel& model, const std::vector<double>& near_miss_profile,
-    stats::Rng& rng);
-
 /// Labels a whole incident log with incident i drawn from its own RNG
 /// stream stats::Rng::stream(seed, i). With jobs > 1 the incidents are
 /// labelled in parallel chunks; the result is bit-identical for every
-/// jobs value (but differs from the sequential-Rng overload above, which
-/// threads one generator through the log).
+/// jobs value.
 [[nodiscard]] std::vector<LabelledIncident> label_incidents(
     std::span<const Incident> incidents, const RiskNorm& norm,
     const InjuryRiskModel& model, const std::vector<double>& near_miss_profile,
@@ -67,12 +59,6 @@ struct ContributionCounts {
 
     /// The point-estimate matrix (see ContributionMatrix::from_counts).
     [[nodiscard]] ContributionMatrix point_matrix() const;
-
-    /// Per-cell one-sided Clopper-Pearson upper bounds at `confidence`.
-    /// Cells with zero totals get 1.0 (no evidence = no credit). The rows
-    /// are NOT a valid ContributionMatrix (columns may sum above 1); they
-    /// are meant for conservative per-class checks.
-    [[nodiscard]] std::vector<std::vector<double>> upper_bounds(double confidence) const;
 };
 
 /// Tallies labelled incidents against an incident-type catalog.

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <ostream>
 #include <stdexcept>
 
 namespace qrn {
@@ -18,20 +17,11 @@ ExposureHours& ExposureHours::operator+=(ExposureHours other) noexcept {
     return *this;
 }
 
-ExposureHours operator+(ExposureHours a, ExposureHours b) noexcept { return a += b; }
-
 Frequency Frequency::per_hour(double value) {
     if (!std::isfinite(value) || value < 0.0) {
         throw std::invalid_argument("Frequency: requires finite value >= 0 per hour");
     }
     return Frequency(value);
-}
-
-Frequency Frequency::once_per_hours(double hours) {
-    if (!std::isfinite(hours) || hours <= 0.0) {
-        throw std::invalid_argument("Frequency::once_per_hours: requires hours > 0");
-    }
-    return Frequency(1.0 / hours);
 }
 
 Frequency Frequency::of_count(double events, ExposureHours exposure) {
@@ -44,19 +34,9 @@ Frequency Frequency::of_count(double events, ExposureHours exposure) {
     return Frequency(events / exposure.hours());
 }
 
-double Frequency::expected_events(ExposureHours exposure) const noexcept {
-    return value_ * exposure.hours();
-}
-
 Frequency& Frequency::operator+=(Frequency other) noexcept {
     value_ += other.value_;
     return *this;
-}
-
-Frequency operator+(Frequency a, Frequency b) noexcept { return a += b; }
-
-Frequency Frequency::saturating_sub(Frequency other) const noexcept {
-    return Frequency(value_ > other.value_ ? value_ - other.value_ : 0.0);
 }
 
 Frequency operator*(Frequency f, double factor) {
@@ -65,8 +45,6 @@ Frequency operator*(Frequency f, double factor) {
     }
     return Frequency(f.value_ * factor);
 }
-
-Frequency operator*(double factor, Frequency f) { return f * factor; }
 
 double Frequency::ratio(Frequency denominator) const {
     if (denominator.value_ <= 0.0) {
@@ -80,7 +58,5 @@ std::string Frequency::to_string() const {
     std::snprintf(buf, sizeof buf, "%.1e /h", value_);
     return buf;
 }
-
-std::ostream& operator<<(std::ostream& os, Frequency f) { return os << f.to_string(); }
 
 }  // namespace qrn

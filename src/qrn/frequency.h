@@ -8,7 +8,6 @@
 #pragma once
 
 #include <compare>
-#include <iosfwd>
 #include <string>
 
 namespace qrn {
@@ -25,7 +24,6 @@ public:
 
     friend constexpr auto operator<=>(ExposureHours, ExposureHours) noexcept = default;
     ExposureHours& operator+=(ExposureHours other) noexcept;
-    friend ExposureHours operator+(ExposureHours a, ExposureHours b) noexcept;
 
 private:
     double hours_ = 0.0;
@@ -40,17 +38,10 @@ public:
     /// non-negative value (checked).
     [[nodiscard]] static Frequency per_hour(double value);
 
-    /// Named constructor: one event per the given number of hours
-    /// (e.g. once_per_hours(1e7) = 1e-7 /h). Requires hours > 0.
-    [[nodiscard]] static Frequency once_per_hours(double hours);
-
     /// Named constructor: k events over an exposure. Requires exposure > 0.
     [[nodiscard]] static Frequency of_count(double events, ExposureHours exposure);
 
     [[nodiscard]] constexpr double per_hour_value() const noexcept { return value_; }
-
-    /// Expected number of events over the given exposure.
-    [[nodiscard]] double expected_events(ExposureHours exposure) const noexcept;
 
     [[nodiscard]] constexpr bool is_zero() const noexcept { return value_ == 0.0; }
 
@@ -58,13 +49,8 @@ public:
 
     // Frequencies form a cone: addition and non-negative scaling are closed.
     Frequency& operator+=(Frequency other) noexcept;
-    friend Frequency operator+(Frequency a, Frequency b) noexcept;
-    /// Saturating difference: max(a - b, 0). Budget headroom never goes
-    /// negative silently; use per_hour_value() arithmetic to detect deficits.
-    [[nodiscard]] Frequency saturating_sub(Frequency other) const noexcept;
     /// Scaling by a contribution fraction. Requires factor >= 0 (checked).
     friend Frequency operator*(Frequency f, double factor);
-    friend Frequency operator*(double factor, Frequency f);
 
     /// Ratio of two frequencies; requires a non-zero denominator (checked).
     [[nodiscard]] double ratio(Frequency denominator) const;
@@ -76,7 +62,5 @@ private:
     constexpr explicit Frequency(double value) noexcept : value_(value) {}
     double value_ = 0.0;
 };
-
-std::ostream& operator<<(std::ostream& os, Frequency f);
 
 }  // namespace qrn

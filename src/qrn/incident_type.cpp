@@ -98,12 +98,6 @@ std::optional<std::size_t> IncidentTypeSet::index_of(std::string_view id) const 
     return std::nullopt;
 }
 
-const IncidentType& IncidentTypeSet::by_id(std::string_view id) const {
-    const auto idx = index_of(id);
-    if (!idx) throw std::out_of_range("IncidentTypeSet: no type " + std::string(id));
-    return types_[*idx];
-}
-
 std::optional<std::size_t> IncidentTypeSet::classify(
     const Incident& incident) const noexcept {
     for (std::size_t i = 0; i < types_.size(); ++i) {

@@ -84,7 +84,6 @@ public:
     [[nodiscard]] const IncidentType& at(std::size_t index) const;
     [[nodiscard]] const std::vector<IncidentType>& all() const noexcept { return types_; }
     [[nodiscard]] std::optional<std::size_t> index_of(std::string_view id) const noexcept;
-    [[nodiscard]] const IncidentType& by_id(std::string_view id) const;
 
     /// Index of the first type matching the incident, if any.
     [[nodiscard]] std::optional<std::size_t> classify(const Incident& incident) const noexcept;

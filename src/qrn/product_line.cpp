@@ -25,39 +25,12 @@ void ProductLine::add_variant(const std::string& name,
     variants_.emplace(name, std::move(allocation));
 }
 
-void ProductLine::add_variant_with_budgets(const std::string& name,
-                                           const std::vector<Frequency>& budgets) {
-    if (variants_.count(name) != 0) {
-        throw std::invalid_argument("ProductLine: duplicate variant '" + name + "'");
-    }
-    if (!satisfies_norm(problem_, budgets)) {
-        throw std::invalid_argument("ProductLine: variant '" + name +
-                                    "' violates the shared norm");
-    }
-    Allocation allocation;
-    allocation.budgets = budgets;
-    allocation.usage = evaluate_usage(problem_, budgets);
-    allocation.solver = "explicit (variant " + name + ")";
-    variants_.emplace(name, std::move(allocation));
-}
-
-std::vector<std::string> ProductLine::names() const {
-    std::vector<std::string> out;
-    out.reserve(variants_.size());
-    for (const auto& [name, allocation] : variants_) out.push_back(name);
-    return out;
-}
-
 const Allocation& ProductLine::variant(const std::string& name) const {
     const auto it = variants_.find(name);
     if (it == variants_.end()) {
         throw std::out_of_range("ProductLine: no variant '" + name + "'");
     }
     return it->second;
-}
-
-SafetyGoalSet ProductLine::goals_of(const std::string& name) const {
-    return SafetyGoalSet::derive(problem_, variant(name));
 }
 
 std::vector<BudgetSpread> ProductLine::budget_spread() const {

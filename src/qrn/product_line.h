@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "qrn/allocation.h"
-#include "qrn/safety_goal.h"
 
 namespace qrn {
 
@@ -45,18 +44,8 @@ public:
     /// cannot produce a norm-satisfying allocation.
     void add_variant(const std::string& name, const std::vector<double>& weights);
 
-    /// Adds a variant with explicit budgets; they must satisfy the shared
-    /// norm (checked) - the line's invariant is never negotiable.
-    void add_variant_with_budgets(const std::string& name,
-                                  const std::vector<Frequency>& budgets);
-
     [[nodiscard]] std::size_t size() const noexcept { return variants_.size(); }
-    [[nodiscard]] std::vector<std::string> names() const;
     [[nodiscard]] const Allocation& variant(const std::string& name) const;
-
-    /// The safety goals of one variant (same texts line-wide except for the
-    /// frequency attribute).
-    [[nodiscard]] SafetyGoalSet goals_of(const std::string& name) const;
 
     /// How far the per-type budgets spread across the current variants
     /// (requires at least one variant).

@@ -21,7 +21,6 @@
 #include "qrn/injury_risk.h"      // IWYU pragma: export
 #include "qrn/risk_norm.h"        // IWYU pragma: export
 #include "qrn/safety_goal.h"      // IWYU pragma: export
-#include "qrn/sensitivity.h"      // IWYU pragma: export
 #include "qrn/serialize.h"        // IWYU pragma: export
 #include "qrn/severity.h"         // IWYU pragma: export
 #include "qrn/tolerance_margin.h" // IWYU pragma: export

@@ -39,14 +39,6 @@ NormEntry RiskNorm::entry(std::size_t index) const {
     return NormEntry{classes_.at(index), limits_[index]};
 }
 
-Frequency RiskNorm::domain_total(ConsequenceDomain domain) const noexcept {
-    Frequency total;
-    for (std::size_t i = 0; i < limits_.size(); ++i) {
-        if (classes_.at(i).domain == domain) total += limits_[i];
-    }
-    return total;
-}
-
 RiskNorm RiskNorm::with_scaled_limit(std::string_view id, double factor) const {
     if (factor <= 0.0) {
         throw std::invalid_argument("RiskNorm::with_scaled_limit: factor must be > 0");

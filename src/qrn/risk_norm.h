@@ -49,10 +49,6 @@ public:
 
     [[nodiscard]] NormEntry entry(std::size_t index) const;
 
-    /// Total acceptable frequency over a domain (e.g. all safety classes);
-    /// useful for summarising a norm against a societal-acceptance figure.
-    [[nodiscard]] Frequency domain_total(ConsequenceDomain domain) const noexcept;
-
     /// Returns a norm identical to this one except the limit of class `id`
     /// is scaled by `factor` (> 0). Scaling must preserve monotonicity.
     [[nodiscard]] RiskNorm with_scaled_limit(std::string_view id, double factor) const;

@@ -41,11 +41,6 @@ SafetyGoalSet SafetyGoalSet::derive(const AllocationProblem& problem,
     return SafetyGoalSet(std::move(goals));
 }
 
-const SafetyGoal& SafetyGoalSet::at(std::size_t index) const {
-    if (index >= goals_.size()) throw std::out_of_range("SafetyGoalSet::at: bad index");
-    return goals_[index];
-}
-
 const SafetyGoal& SafetyGoalSet::by_incident_type(std::string_view type_id) const {
     for (const auto& g : goals_) {
         if (g.incident_type_id == type_id) return g;

@@ -43,7 +43,6 @@ public:
                                               const Allocation& allocation);
 
     [[nodiscard]] std::size_t size() const noexcept { return goals_.size(); }
-    [[nodiscard]] const SafetyGoal& at(std::size_t index) const;
     [[nodiscard]] const std::vector<SafetyGoal>& all() const noexcept { return goals_; }
     [[nodiscard]] const SafetyGoal& by_incident_type(std::string_view type_id) const;
 

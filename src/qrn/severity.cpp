@@ -58,20 +58,6 @@ std::optional<std::size_t> ConsequenceClassSet::index_of(
     return std::nullopt;
 }
 
-const ConsequenceClass& ConsequenceClassSet::by_id(std::string_view id) const {
-    const auto idx = index_of(id);
-    if (!idx) throw std::out_of_range("ConsequenceClassSet: no class " + std::string(id));
-    return classes_[*idx];
-}
-
-std::size_t ConsequenceClassSet::count(ConsequenceDomain domain) const noexcept {
-    std::size_t n = 0;
-    for (const auto& c : classes_) {
-        if (c.domain == domain) ++n;
-    }
-    return n;
-}
-
 ConsequenceClassSet ConsequenceClassSet::paper_example() {
     return ConsequenceClassSet({
         {"vQ1", "Perceived safety", ConsequenceDomain::Quality, 1,

@@ -53,12 +53,6 @@ public:
     /// Index of the class with the given id, if present.
     [[nodiscard]] std::optional<std::size_t> index_of(std::string_view id) const noexcept;
 
-    /// The class with the given id; throws std::out_of_range if absent.
-    [[nodiscard]] const ConsequenceClass& by_id(std::string_view id) const;
-
-    /// Number of classes in the given domain.
-    [[nodiscard]] std::size_t count(ConsequenceDomain domain) const noexcept;
-
     /// The six example classes of the paper's Figs. 2-3: vQ1 (perceived
     /// safety), vQ2 (emergency manoeuvre), vQ3 (material damage), vS1 (light
     /// to moderate injuries), vS2 (severe injuries), vS3 (life-threatening

@@ -38,61 +38,10 @@ bool VerificationReport::norm_point_fulfilled() const noexcept {
     });
 }
 
-bool VerificationReport::goals_fulfilled() const noexcept {
-    return std::all_of(goals.begin(), goals.end(), [](const GoalVerification& g) {
-        return g.verdict == ClassVerdict::Fulfilled;
-    });
-}
-
-namespace {
-
-/// Shared implementation; `fraction_upper`, when non-null, replaces the
-/// matrix fractions in the upper-usage sum.
-VerificationReport verify_impl(const AllocationProblem& problem,
-                               const Allocation& allocation,
-                               const std::vector<TypeEvidence>& evidence,
-                               double confidence,
-                               const std::vector<std::vector<double>>* fraction_upper);
-
-}  // namespace
-
 VerificationReport verify_against_evidence(const AllocationProblem& problem,
                                            const Allocation& allocation,
                                            const std::vector<TypeEvidence>& evidence,
                                            double confidence) {
-    return verify_impl(problem, allocation, evidence, confidence, nullptr);
-}
-
-VerificationReport verify_against_evidence_conservative(
-    const AllocationProblem& problem, const Allocation& allocation,
-    const std::vector<TypeEvidence>& evidence, double confidence,
-    const std::vector<std::vector<double>>& fraction_upper) {
-    if (fraction_upper.size() != problem.norm().size()) {
-        throw std::invalid_argument(
-            "verify_against_evidence_conservative: fraction rows != class count");
-    }
-    for (const auto& row : fraction_upper) {
-        if (row.size() != problem.types().size()) {
-            throw std::invalid_argument(
-                "verify_against_evidence_conservative: fraction row width != types");
-        }
-        for (const double f : row) {
-            if (!(f >= 0.0) || f > 1.0) {
-                throw std::invalid_argument(
-                    "verify_against_evidence_conservative: fractions in [0, 1]");
-            }
-        }
-    }
-    return verify_impl(problem, allocation, evidence, confidence, &fraction_upper);
-}
-
-namespace {
-
-VerificationReport verify_impl(const AllocationProblem& problem,
-                               const Allocation& allocation,
-                               const std::vector<TypeEvidence>& evidence,
-                               double confidence,
-                               const std::vector<std::vector<double>>* fraction_upper) {
     const std::size_t n = problem.types().size();
     if (allocation.budgets.size() != n) {
         throw std::invalid_argument("verify_against_evidence: budget/type mismatch");
@@ -150,10 +99,8 @@ VerificationReport verify_impl(const AllocationProblem& problem,
         double p = 0.0, u = 0.0;
         for (std::size_t k = 0; k < n; ++k) {
             const double frac = problem.matrix().fraction(j, k);
-            const double frac_up =
-                fraction_upper != nullptr ? (*fraction_upper)[j][k] : frac;
             p += frac * point[k];
-            u += frac_up * upper[k];
+            u += frac * upper[k];
         }
         c.point_usage = Frequency::per_hour(p);
         c.upper_usage = Frequency::per_hour(u);
@@ -162,8 +109,6 @@ VerificationReport verify_impl(const AllocationProblem& problem,
     }
     return report;
 }
-
-}  // namespace
 
 ExposureHours exposure_to_demonstrate(Frequency budget, double confidence) {
     return ExposureHours(

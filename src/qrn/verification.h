@@ -67,8 +67,6 @@ struct VerificationReport {
     [[nodiscard]] bool norm_fulfilled() const noexcept;
     /// True iff every class verdict is at least PointFulfilled.
     [[nodiscard]] bool norm_point_fulfilled() const noexcept;
-    /// True iff every per-goal verdict is Fulfilled.
-    [[nodiscard]] bool goals_fulfilled() const noexcept;
 };
 
 /// Runs Eq. 1 against evidence.
@@ -80,18 +78,6 @@ struct VerificationReport {
 [[nodiscard]] VerificationReport verify_against_evidence(
     const AllocationProblem& problem, const Allocation& allocation,
     const std::vector<TypeEvidence>& evidence, double confidence);
-
-/// Fully conservative variant: per-class *upper* usage is computed with
-/// caller-supplied per-cell contribution-fraction upper bounds (shape
-/// classes x types; e.g. ContributionCounts::upper_bounds from empirically
-/// estimated fractions) instead of the problem's point fractions, so both
-/// statistical uncertainties - the rates and the consequence splits - press
-/// in the unfavourable direction. Point usage still uses the problem's
-/// matrix. Per-goal rows are unaffected (they do not involve fractions).
-[[nodiscard]] VerificationReport verify_against_evidence_conservative(
-    const AllocationProblem& problem, const Allocation& allocation,
-    const std::vector<TypeEvidence>& evidence, double confidence,
-    const std::vector<std::vector<double>>& fraction_upper);
 
 /// Convenience: exposure (hours) required to statistically demonstrate a
 /// budget assuming zero observed events of the type (the dominant

@@ -1,7 +1,6 @@
 #include "quant/architecture.h"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 #include <sstream>
 #include <stdexcept>
@@ -15,26 +14,6 @@ std::unique_ptr<ArchNode> ArchNode::element(std::string name, Frequency rate,
     auto node = std::make_unique<ArchNode>(Passkey{});
     node->name_ = std::move(name);
     node->rate_ = rate;
-    node->rate_lower_ = rate;
-    node->cause_ = cause;
-    return node;
-}
-
-std::unique_ptr<ArchNode> ArchNode::element_with_interval(std::string name,
-                                                          Frequency lower,
-                                                          Frequency upper,
-                                                          CauseCategory cause) {
-    if (name.empty()) {
-        throw std::invalid_argument("ArchNode::element_with_interval: name required");
-    }
-    if (lower > upper) {
-        throw std::invalid_argument(
-            "ArchNode::element_with_interval: requires lower <= upper");
-    }
-    auto node = std::make_unique<ArchNode>(Passkey{});
-    node->name_ = std::move(name);
-    node->rate_ = upper;
-    node->rate_lower_ = lower;
     node->cause_ = cause;
     return node;
 }
@@ -74,7 +53,6 @@ std::unique_ptr<ArchNode> ArchNode::k_of_n(std::string name, std::size_t k, std:
     node->k_ = k;
     node->n_ = n;
     node->rate_ = child_rate;
-    node->rate_lower_ = child_rate;
     node->tau_hours_ = tau_hours;
     return node;
 }
@@ -114,14 +92,6 @@ std::vector<CauseContribution> ArchNode::leaf_contributions() const {
     return out;
 }
 
-std::size_t ArchNode::leaf_count() const noexcept {
-    if (synthetic_kofn_) return n_;
-    if (children_.empty()) return 1;
-    std::size_t n = 0;
-    for (const auto& c : children_) n += c->leaf_count();
-    return n;
-}
-
 std::string ArchNode::render(int indent) const {
     std::ostringstream os;
     os << std::string(static_cast<std::size_t>(indent) * 2, ' ');
@@ -139,30 +109,6 @@ std::string ArchNode::render(int indent) const {
        << "] -> " << evaluate().to_string() << '\n';
     for (const auto& c : children_) os << c->render(indent + 1);
     return os.str();
-}
-
-std::pair<Frequency, Frequency> ArchNode::evaluate_bounds() const {
-    if (synthetic_kofn_) {
-        return {k_of_n_rate(k_, n_, rate_lower_, tau_hours_),
-                k_of_n_rate(k_, n_, rate_, tau_hours_)};
-    }
-    if (children_.empty()) return {rate_lower_, rate_};
-    if (kind_ == GateKind::Or) {
-        Frequency lo, hi;
-        for (const auto& c : children_) {
-            const auto [child_lo, child_hi] = c->evaluate_bounds();
-            lo += child_lo;
-            hi += child_hi;
-        }
-        return {lo, hi};
-    }
-    auto [lo, hi] = children_.front()->evaluate_bounds();
-    for (std::size_t i = 1; i < children_.size(); ++i) {
-        const auto [child_lo, child_hi] = children_[i]->evaluate_bounds();
-        lo = parallel_rate(lo, child_lo, tau_hours_);
-        hi = parallel_rate(hi, child_hi, tau_hours_);
-    }
-    return {lo, hi};
 }
 
 bool ArchNode::contains(const ArchNode* target) const noexcept {
@@ -325,14 +271,6 @@ std::vector<CutSet> minimal_cut_sets(const ArchNode& top) {
 Frequency equal_series_split(Frequency budget, std::size_t elements) {
     if (elements == 0) throw std::invalid_argument("equal_series_split: elements >= 1");
     return budget * (1.0 / static_cast<double>(elements));
-}
-
-Frequency symmetric_parallel_split(Frequency budget, double tau_hours) {
-    if (!(tau_hours > 0.0)) {
-        throw std::invalid_argument("symmetric_parallel_split: tau > 0");
-    }
-    return Frequency::per_hour(
-        std::sqrt(budget.per_hour_value() / (2.0 * tau_hours)));
 }
 
 }  // namespace qrn::quant

@@ -45,14 +45,6 @@ public:
         std::string name, Frequency rate,
         CauseCategory cause = CauseCategory::SystematicDesign);
 
-    /// Leaf element whose rate is only known as an interval [lower, upper]
-    /// (e.g. a Garwood confidence interval from test evidence). evaluate()
-    /// uses the upper end (conservative); evaluate_bounds() propagates both
-    /// ends. Requires lower <= upper.
-    [[nodiscard]] static std::unique_ptr<ArchNode> element_with_interval(
-        std::string name, Frequency lower, Frequency upper,
-        CauseCategory cause = CauseCategory::SystematicDesign);
-
     /// OR gate over children (at least one child).
     [[nodiscard]] static std::unique_ptr<ArchNode> any_of(
         std::string name, std::vector<std::unique_ptr<ArchNode>> children);
@@ -92,21 +84,11 @@ public:
     }
 
     /// Violation rate of the subtree (small-rate approximations per gate).
-    /// Interval-valued leaves contribute their upper (conservative) end.
     [[nodiscard]] Frequency evaluate() const;
-
-    /// Lower/upper bounds of the top rate under the leaves' rate
-    /// intervals. Every gate is monotone in each input rate, so interval
-    /// arithmetic is exact: series adds endpoints, redundancy multiplies
-    /// them. Point-valued leaves contribute a degenerate interval.
-    [[nodiscard]] std::pair<Frequency, Frequency> evaluate_bounds() const;
 
     /// All leaf elements in the subtree (name + rate + cause), for budget
     /// accounting. Synthetic k-of-n children are expanded logically.
     [[nodiscard]] std::vector<CauseContribution> leaf_contributions() const;
-
-    /// Number of leaf elements (k-of-n counts n).
-    [[nodiscard]] std::size_t leaf_count() const noexcept;
 
     /// Indented rendering of the architecture.
     [[nodiscard]] std::string render(int indent = 0) const;
@@ -126,10 +108,8 @@ private:
     GateKind kind_ = GateKind::Or;
     std::vector<std::unique_ptr<ArchNode>> children_;
     double tau_hours_ = 0.0;
-    // Leaf payload. rate_ is the conservative (upper) value; rate_lower_
-    // carries the optimistic end of an interval-valued leaf.
+    // Leaf payload.
     Frequency rate_;
-    Frequency rate_lower_;
     CauseCategory cause_ = CauseCategory::SystematicDesign;
     // Synthetic homogeneous k-of-n payload.
     bool synthetic_kofn_ = false;
@@ -172,9 +152,5 @@ using CutSet = std::vector<std::string>;
 /// quantitative counterpart of ASIL inheritance (which would give each
 /// element the *full* goal integrity, Sec. V's third observation).
 [[nodiscard]] Frequency equal_series_split(Frequency budget, std::size_t elements);
-
-/// Budget each of two redundant (AND) channels may carry so that the pair
-/// meets `budget` with window tau: lambda = sqrt(budget / (2 * tau)).
-[[nodiscard]] Frequency symmetric_parallel_split(Frequency budget, double tau_hours);
 
 }  // namespace qrn::quant

@@ -14,12 +14,6 @@ std::string_view to_string(CauseCategory cause) noexcept {
     return "?";
 }
 
-Frequency series_rate(const std::vector<Frequency>& rates) {
-    Frequency total;
-    for (const Frequency r : rates) total += r;
-    return total;
-}
-
 Frequency parallel_rate(Frequency a, Frequency b, double tau_hours) {
     if (!(tau_hours > 0.0) || !std::isfinite(tau_hours)) {
         throw std::invalid_argument("parallel_rate: tau_hours must be > 0");
@@ -55,17 +49,6 @@ Frequency k_of_n_rate(std::size_t k, std::size_t n, Frequency lambda, double tau
     const double rate = static_cast<double>(m) * choose * l *
                         std::pow(l * tau_hours, static_cast<double>(m - 1));
     return Frequency::per_hour(rate);
-}
-
-Frequency unified_total(const std::vector<CauseContribution>& contributions) {
-    Frequency total;
-    for (const auto& c : contributions) total += c.rate;
-    return total;
-}
-
-bool within_budget(const std::vector<CauseContribution>& contributions,
-                   Frequency budget) {
-    return unified_total(contributions) <= budget;
 }
 
 }  // namespace qrn::quant

@@ -31,9 +31,6 @@ enum class CauseCategory : std::uint8_t {
 
 [[nodiscard]] std::string_view to_string(CauseCategory cause) noexcept;
 
-/// Series combination (OR): violation if any input violates. Rates add.
-[[nodiscard]] Frequency series_rate(const std::vector<Frequency>& rates);
-
 /// Parallel combination (AND) of two independent channels with a common
 /// exposure window tau (hours): the requirement is violated when both are
 /// in a failed state simultaneously; for lambda*tau << 1 the resulting rate
@@ -55,13 +52,5 @@ struct CauseContribution {
     CauseCategory cause = CauseCategory::SystematicDesign;
     Frequency rate;
 };
-
-/// Sums contributions across causes (the unified budget) and checks them
-/// against a budget. Returns the total.
-[[nodiscard]] Frequency unified_total(const std::vector<CauseContribution>& contributions);
-
-/// True iff the unified total is within the budget.
-[[nodiscard]] bool within_budget(const std::vector<CauseContribution>& contributions,
-                                 Frequency budget);
 
 }  // namespace qrn::quant

@@ -23,22 +23,6 @@ std::string value_text(double v) {
 
 }  // namespace
 
-std::string bar_chart(const std::vector<BarItem>& items, std::size_t width) {
-    double max_v = 0.0;
-    for (const auto& item : items) max_v = std::max(max_v, item.value);
-    const std::size_t lw = label_width(items);
-    std::ostringstream os;
-    for (const auto& item : items) {
-        const auto n = max_v <= 0.0
-                           ? std::size_t{0}
-                           : static_cast<std::size_t>(
-                                 std::lround(item.value / max_v * static_cast<double>(width)));
-        os << item.label << std::string(lw - item.label.size(), ' ') << " |"
-           << std::string(n, '#') << ' ' << value_text(item.value) << '\n';
-    }
-    return os.str();
-}
-
 std::string log_bar_chart(const std::vector<BarItem>& items, std::size_t width) {
     double min_v = 0.0, max_v = 0.0;
     bool any = false;

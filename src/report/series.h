@@ -15,11 +15,6 @@ struct BarItem {
     double value = 0.0;
 };
 
-/// Renders labelled horizontal bars scaled to `width` characters.
-/// Values must be >= 0; all-zero input renders empty bars.
-[[nodiscard]] std::string bar_chart(const std::vector<BarItem>& items,
-                                    std::size_t width = 50);
-
 /// Renders bars on a log10 scale between the data's min and max positive
 /// values. Non-positive values render as empty bars. Suitable for
 /// frequencies spanning many orders of magnitude.

@@ -17,8 +17,8 @@
 #include <vector>
 
 #include "sim/fleet.h"
-#include "stats/histogram.h"
 #include "stats/rate_estimation.h"
+#include "stats/running_summary.h"
 
 namespace qrn::sim {
 

@@ -1,28 +1,8 @@
 #include "sim/odd.h"
 
-#include <algorithm>
 #include <sstream>
 
 namespace qrn::sim {
-
-std::string_view to_string(Weather w) noexcept {
-    switch (w) {
-        case Weather::Clear: return "clear";
-        case Weather::Rain: return "rain";
-        case Weather::Snow: return "snow";
-        case Weather::Fog: return "fog";
-    }
-    return "?";
-}
-
-std::string_view to_string(Lighting l) noexcept {
-    switch (l) {
-        case Lighting::Day: return "day";
-        case Lighting::Dusk: return "dusk";
-        case Lighting::Night: return "night";
-    }
-    return "?";
-}
 
 bool Odd::contains(const Environment& env) const noexcept {
     if (env.speed_limit_kmh > max_speed_limit_kmh) return false;
@@ -42,18 +22,6 @@ bool Odd::contains(const Environment& env) const noexcept {
     if (env.friction < min_friction) return false;
     if (env.vru_density > max_vru_density) return false;
     return true;
-}
-
-Odd Odd::restricted_by(const Odd& other) const noexcept {
-    Odd out = *this;
-    out.max_speed_limit_kmh = std::min(max_speed_limit_kmh, other.max_speed_limit_kmh);
-    out.allow_rain = allow_rain && other.allow_rain;
-    out.allow_snow = allow_snow && other.allow_snow;
-    out.allow_fog = allow_fog && other.allow_fog;
-    out.allow_night = allow_night && other.allow_night;
-    out.min_friction = std::max(min_friction, other.min_friction);
-    out.max_vru_density = std::min(max_vru_density, other.max_vru_density);
-    return out;
 }
 
 std::string Odd::describe() const {

@@ -4,9 +4,8 @@
 // inside the entire ODD regardless of where, when, and how the feature is
 // used" (Sec. III-A), and the solution domain may trade "adjusting critical
 // ODD parameters to ease difficult verification tasks" (Sec. IV). The Odd
-// type supports containment checks against sampled environments and
-// restriction operations for that trade-off; see also Gyllenhammar et al.
-// [5] cited by the paper.
+// type supports containment checks against sampled environments; see also
+// Gyllenhammar et al. [5] cited by the paper.
 #pragma once
 
 #include <cstdint>
@@ -21,9 +20,6 @@ enum class Weather : std::uint8_t { Clear, Rain, Snow, Fog };
 
 /// Lighting states.
 enum class Lighting : std::uint8_t { Day, Dusk, Night };
-
-[[nodiscard]] std::string_view to_string(Weather w) noexcept;
-[[nodiscard]] std::string_view to_string(Lighting l) noexcept;
 
 /// Momentary external conditions of one operational stretch.
 struct Environment {
@@ -48,9 +44,6 @@ struct Odd {
 
     /// True iff the environment is inside the ODD.
     [[nodiscard]] bool contains(const Environment& env) const noexcept;
-
-    /// Returns a copy restricted by another ODD (intersection of limits).
-    [[nodiscard]] Odd restricted_by(const Odd& other) const noexcept;
 
     /// Human-readable summary.
     [[nodiscard]] std::string describe() const;

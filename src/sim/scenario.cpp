@@ -8,19 +8,6 @@
 
 namespace qrn::sim {
 
-std::string_view to_string(EncounterKind kind) noexcept {
-    switch (kind) {
-        case EncounterKind::VruCrossing: return "VRU crossing";
-        case EncounterKind::LeadVehicleBraking: return "lead vehicle braking";
-        case EncounterKind::StationaryObstacle: return "stationary obstacle";
-        case EncounterKind::AnimalCrossing: return "animal crossing";
-        case EncounterKind::CutIn: return "cut-in";
-        case EncounterKind::CrossingVehicle: return "crossing vehicle";
-        case EncounterKind::OncomingDrift: return "oncoming drift";
-    }
-    return "?";
-}
-
 EncounterKind encounter_kind_from_index(std::size_t index) {
     static constexpr std::array<EncounterKind, kEncounterKindCount> kAll = {
         EncounterKind::VruCrossing,       EncounterKind::LeadVehicleBraking,

@@ -10,7 +10,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string_view>
 
 #include "qrn/incident.h"
 #include "sim/odd.h"
@@ -31,7 +30,6 @@ enum class EncounterKind : std::uint8_t {
 
 inline constexpr std::size_t kEncounterKindCount = 7;
 
-[[nodiscard]] std::string_view to_string(EncounterKind kind) noexcept;
 [[nodiscard]] EncounterKind encounter_kind_from_index(std::size_t index);
 
 /// The counterparty actor type of an encounter kind.

@@ -1,6 +1,5 @@
 #include "stats/proportion.h"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "stats/special_functions.h"
@@ -21,25 +20,6 @@ void require_valid(std::uint64_t successes, std::uint64_t trials, double confide
 
 }  // namespace
 
-ProportionInterval wilson_interval(std::uint64_t successes, std::uint64_t trials,
-                                   double confidence) {
-    require_valid(successes, trials, confidence);
-    const double n = static_cast<double>(trials);
-    const double p_hat = static_cast<double>(successes) / n;
-    const double z = normal_quantile(0.5 + confidence / 2.0);
-    const double z2 = z * z;
-    const double denom = 1.0 + z2 / n;
-    const double center = (p_hat + z2 / (2.0 * n)) / denom;
-    const double half =
-        z * std::sqrt(p_hat * (1.0 - p_hat) / n + z2 / (4.0 * n * n)) / denom;
-    ProportionInterval out;
-    out.point = p_hat;
-    out.confidence = confidence;
-    out.lower = std::max(0.0, center - half);
-    out.upper = std::min(1.0, center + half);
-    return out;
-}
-
 ProportionInterval clopper_pearson_interval(std::uint64_t successes,
                                             std::uint64_t trials, double confidence) {
     require_valid(successes, trials, confidence);
@@ -55,24 +35,6 @@ ProportionInterval clopper_pearson_interval(std::uint64_t successes,
     out.upper = successes == trials
                     ? 1.0
                     : inverse_regularized_beta(k + 1.0, n - k, 1.0 - alpha / 2.0);
-    return out;
-}
-
-ProportionInterval jeffreys_interval(std::uint64_t successes, std::uint64_t trials,
-                                     double confidence) {
-    require_valid(successes, trials, confidence);
-    const double alpha = 1.0 - confidence;
-    const double k = static_cast<double>(successes);
-    const double n = static_cast<double>(trials);
-    ProportionInterval out;
-    out.point = k / n;
-    out.confidence = confidence;
-    out.lower = successes == 0
-                    ? 0.0
-                    : inverse_regularized_beta(k + 0.5, n - k + 0.5, alpha / 2.0);
-    out.upper = successes == trials
-                    ? 1.0
-                    : inverse_regularized_beta(k + 0.5, n - k + 0.5, 1.0 - alpha / 2.0);
     return out;
 }
 

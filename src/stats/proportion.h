@@ -5,7 +5,7 @@
 // "70% of f_I2 contributes to v_S1 and 30% to v_S2") are estimated from
 // finite samples - accident databases or simulated incident logs. The
 // safety argument needs conservative interval estimates for these shares,
-// so we implement the standard exact and score intervals from scratch.
+// so we implement the exact interval from scratch.
 #pragma once
 
 #include <cstdint>
@@ -20,20 +20,10 @@ struct ProportionInterval {
     double confidence = 0.0;  ///< Two-sided coverage, e.g. 0.95.
 };
 
-/// Wilson score interval. Good coverage for all n; never escapes [0, 1].
-[[nodiscard]] ProportionInterval wilson_interval(std::uint64_t successes,
-                                                 std::uint64_t trials,
-                                                 double confidence);
-
 /// Exact Clopper-Pearson interval via the regularized incomplete beta.
 /// Conservative (coverage >= confidence for every true p).
 [[nodiscard]] ProportionInterval clopper_pearson_interval(std::uint64_t successes,
                                                           std::uint64_t trials,
                                                           double confidence);
-
-/// Jeffreys (Bayesian, Beta(1/2,1/2) prior) equal-tailed credible interval.
-[[nodiscard]] ProportionInterval jeffreys_interval(std::uint64_t successes,
-                                                   std::uint64_t trials,
-                                                   double confidence);
 
 }  // namespace qrn::stats

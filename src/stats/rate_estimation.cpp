@@ -1,10 +1,8 @@
 #include "stats/rate_estimation.h"
 
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
-#include "stats/distributions.h"
 #include "stats/special_functions.h"
 
 namespace qrn::stats {
@@ -29,36 +27,11 @@ double rate_mle(const RateObservation& obs) {
     return static_cast<double>(obs.events) / obs.exposure_hours;
 }
 
-RateInterval garwood_interval(const RateObservation& obs, double confidence) {
-    require_valid(obs, confidence);
-    const double alpha = 1.0 - confidence;
-    const double k = static_cast<double>(obs.events);
-    RateInterval out;
-    out.point = rate_mle(obs);
-    out.confidence = confidence;
-    // Upper limit through the tail-mass entry point: at confidence
-    // 1 - 1e-9 the upper-tail mass alpha/2 is the small quantity, and
-    // chi_squared_quantile(1 - alpha/2, .) would round it away.
-    out.lower = obs.events == 0
-                    ? 0.0
-                    : 0.5 * chi_squared_quantile(alpha / 2.0, 2.0 * k) / obs.exposure_hours;
-    out.upper = 0.5 * chi_squared_quantile_upper(alpha / 2.0, 2.0 * (k + 1.0)) /
-                obs.exposure_hours;
-    return out;
-}
-
 double rate_upper_bound(const RateObservation& obs, double confidence) {
     require_valid(obs, confidence);
     const double k = static_cast<double>(obs.events);
     return 0.5 * chi_squared_quantile_upper(1.0 - confidence, 2.0 * (k + 1.0)) /
            obs.exposure_hours;
-}
-
-double rate_lower_bound(const RateObservation& obs, double confidence) {
-    require_valid(obs, confidence);
-    if (obs.events == 0) return 0.0;
-    const double k = static_cast<double>(obs.events);
-    return 0.5 * chi_squared_quantile(1.0 - confidence, 2.0 * k) / obs.exposure_hours;
 }
 
 HeterogeneityResult rate_heterogeneity_test(
@@ -87,31 +60,6 @@ HeterogeneityResult rate_heterogeneity_test(
     }
     out.p_value =
         regularized_gamma_q(out.degrees_of_freedom / 2.0, out.chi_squared / 2.0);
-    return out;
-}
-
-RateComparison rate_ratio_test(const RateObservation& a, const RateObservation& b) {
-    if (a.exposure_hours <= 0.0 || b.exposure_hours <= 0.0) {
-        throw std::invalid_argument("rate_ratio_test: exposures must be > 0");
-    }
-    RateComparison out;
-    out.rate1 = rate_mle(a);
-    out.rate2 = rate_mle(b);
-    out.ratio = out.rate2 > 0.0 ? out.rate1 / out.rate2
-                                : std::numeric_limits<double>::infinity();
-    const std::uint64_t total = a.events + b.events;
-    if (total == 0) {
-        out.p_value = 1.0;
-        return out;
-    }
-    const double p = a.exposure_hours / (a.exposure_hours + b.exposure_hours);
-    const double observed = binomial_pmf(a.events, total, p);
-    double p_value = 0.0;
-    for (std::uint64_t i = 0; i <= total; ++i) {
-        const double prob = binomial_pmf(i, total, p);
-        if (prob <= observed * (1.0 + 1e-12)) p_value += prob;
-    }
-    out.p_value = std::min(p_value, 1.0);
     return out;
 }
 

@@ -3,9 +3,8 @@
 // Incident-frequency evidence in the QRN safety case is of the form "k
 // incidents observed over T operational hours". The point estimate k/T is
 // not enough for a safety argument: the paper's Eq. 1 check must hold for a
-// defensible *upper bound* on the rate. We provide the exact Garwood
-// interval (chi-squared based, valid for k = 0) plus the one-sided upper
-// bound that the verification module uses.
+// defensible *upper bound* on the rate: the exact one-sided Garwood bound
+// (chi-squared based, valid for k = 0) that the verification module uses.
 #pragma once
 
 #include <cstdint>
@@ -30,34 +29,17 @@ struct RateInterval {
 /// Maximum-likelihood rate estimate k / T. Requires exposure_hours > 0.
 [[nodiscard]] double rate_mle(const RateObservation& obs);
 
-/// Exact (Garwood) two-sided confidence interval for a Poisson rate.
-/// For k = 0 the lower limit is 0. Requires exposure_hours > 0 and
-/// confidence in (0, 1).
-[[nodiscard]] RateInterval garwood_interval(const RateObservation& obs,
-                                            double confidence);
-
 /// Exact one-sided upper confidence bound: the largest rate lambda such
 /// that observing <= k events in T hours has probability >= 1 - confidence.
 /// This is the bound the QRN verification uses for Eq. 1. For k = 0 it is
 /// -ln(1 - confidence) / T (e.g. ~3/T for 95%: the "rule of three").
 [[nodiscard]] double rate_upper_bound(const RateObservation& obs, double confidence);
 
-/// One-sided lower confidence bound (0 when k = 0).
-[[nodiscard]] double rate_lower_bound(const RateObservation& obs, double confidence);
-
 /// Exposure hours needed so that, if zero events are observed, the upper
 /// `confidence` bound on the rate drops below `target_rate` (per hour).
 /// This quantifies the paper's verification-effort trade-off.
 [[nodiscard]] double exposure_needed_for_zero_events(double target_rate,
                                                      double confidence);
-
-/// Result of the exact conditional two-sample Poisson rate comparison.
-struct RateComparison {
-    double rate1 = 0.0;     ///< k1 / T1.
-    double rate2 = 0.0;     ///< k2 / T2.
-    double ratio = 0.0;     ///< rate1 / rate2 (infinity when rate2 == 0).
-    double p_value = 1.0;   ///< Two-sided exact p-value for rate1 == rate2.
-};
 
 /// Result of the multi-sample rate homogeneity test.
 struct HeterogeneityResult {
@@ -76,13 +58,5 @@ struct HeterogeneityResult {
 /// with positive exposure. All-zero counts yield p = 1.
 [[nodiscard]] HeterogeneityResult rate_heterogeneity_test(
     const std::vector<RateObservation>& observations);
-
-/// Exact conditional test for equality of two Poisson rates (used to judge
-/// whether two tactical policies' incident rates genuinely differ):
-/// conditioned on the total count K = k1 + k2, k1 ~ Binomial(K, T1/(T1+T2))
-/// under the null; the two-sided p-value sums all outcomes no more likely
-/// than the observed one. Requires both exposures > 0. K = 0 yields p = 1.
-[[nodiscard]] RateComparison rate_ratio_test(const RateObservation& a,
-                                             const RateObservation& b);
 
 }  // namespace qrn::stats

@@ -118,10 +118,6 @@ std::uint64_t Rng::poisson(double mean) noexcept {
     return static_cast<std::uint64_t>(draw);
 }
 
-void Rng::fill_uniform(double* out, std::size_t n) noexcept {
-    for (std::size_t i = 0; i < n; ++i) out[i] = uniform();
-}
-
 void Rng::fill_poisson(const double* means, std::uint64_t* out,
                        std::size_t n) noexcept {
     for (std::size_t i = 0; i < n; ++i) out[i] = poisson(means[i]);

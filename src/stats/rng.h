@@ -60,14 +60,11 @@ public:
     /// means and the PTRS transformed-rejection method for large ones.
     std::uint64_t poisson(double mean) noexcept;
 
-    /// Batched draws for hot loops. Each fill consumes the generator
-    /// exactly as the equivalent sequence of scalar calls would - out[i]
-    /// is bit-identical to the i-th sequential draw (pinned by tests) -
-    /// so call sites can batch without changing any downstream stream.
-    void fill_uniform(double* out, std::size_t n) noexcept;
-
-    /// out[i] = poisson(means[i]), drawn in index order; sequence-
-    /// identical to n sequential poisson() calls.
+    /// Batched draws for hot loops: out[i] = poisson(means[i]), drawn in
+    /// index order. The fill consumes the generator exactly as n
+    /// sequential poisson() calls would - out[i] is bit-identical to the
+    /// i-th sequential draw (pinned by tests) - so call sites can batch
+    /// without changing any downstream stream.
     void fill_poisson(const double* means, std::uint64_t* out,
                       std::size_t n) noexcept;
 

@@ -43,20 +43,4 @@ SprtDecision PoissonSprt::decision() const noexcept {
     return SprtDecision::Continue;
 }
 
-double PoissonSprt::expected_hours_to_decision(double true_rate) const {
-    if (!(true_rate > 0.0)) {
-        throw std::invalid_argument("expected_hours_to_decision: rate must be > 0");
-    }
-    // Wald: E[N] ~ (P(reject) * upper + (1 - P(reject)) * lower) / E[LLR
-    // increment per hour]. Use the crude approximation with P(reject)
-    // determined by which hypothesis the true rate is closer to.
-    const double drift =
-        true_rate * std::log(lambda1_ / lambda0_) - (lambda1_ - lambda0_);
-    if (std::fabs(drift) < 1e-300) {
-        throw std::invalid_argument("expected_hours_to_decision: zero drift");
-    }
-    const double boundary = drift > 0.0 ? upper_ : lower_;
-    return boundary / drift;
-}
-
 }  // namespace qrn::stats

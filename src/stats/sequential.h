@@ -44,10 +44,6 @@ public:
     [[nodiscard]] std::uint64_t events() const noexcept { return events_; }
     [[nodiscard]] double hours() const noexcept { return hours_; }
 
-    /// Expected exposure to acceptance when the true rate is lambda (Wald's
-    /// approximation of the average sample number, in hours).
-    [[nodiscard]] double expected_hours_to_decision(double true_rate) const;
-
 private:
     double lambda0_;
     double lambda1_;

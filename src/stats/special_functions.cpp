@@ -207,14 +207,6 @@ double inverse_gamma_tail(double a, double tail, bool lower_tail) {
 
 }  // namespace
 
-double regularized_gamma_p(double a, double x) {
-    if (a <= 0.0) throw std::invalid_argument("regularized_gamma_p: a must be > 0");
-    if (x < 0.0) throw std::invalid_argument("regularized_gamma_p: x must be >= 0");
-    if (x == 0.0) return 0.0;
-    if (x < a + 1.0) return gamma_p_series(a, x);
-    return 1.0 - gamma_q_continued_fraction(a, x);
-}
-
 double regularized_gamma_q(double a, double x) {
     if (a <= 0.0) throw std::invalid_argument("regularized_gamma_q: a must be > 0");
     if (x < 0.0) throw std::invalid_argument("regularized_gamma_q: x must be >= 0");
@@ -243,16 +235,6 @@ double regularized_beta(double a, double b, double x) {
     return 1.0 - front * beta_continued_fraction(b, a, 1.0 - x) / b;
 }
 
-double inverse_regularized_gamma_p(double a, double p) {
-    if (a <= 0.0) throw std::invalid_argument("inverse_regularized_gamma_p: a must be > 0");
-    if (p < 0.0 || p >= 1.0) {
-        throw std::invalid_argument("inverse_regularized_gamma_p: p must be in [0, 1)");
-    }
-    if (p == 0.0) return 0.0;
-    if (p <= 0.5) return inverse_gamma_tail(a, p, /*lower_tail=*/true);
-    return inverse_gamma_tail(a, 1.0 - p, /*lower_tail=*/false);
-}
-
 double inverse_regularized_gamma_q(double a, double q) {
     if (a <= 0.0) throw std::invalid_argument("inverse_regularized_gamma_q: a must be > 0");
     if (q <= 0.0 || q > 1.0) {
@@ -273,11 +255,6 @@ double inverse_regularized_beta(double a, double b, double p) {
     if (p == 0.0) return 0.0;
     if (p == 1.0) return 1.0;
     return bisect([a, b](double x) { return regularized_beta(a, b, x); }, 0.0, 1.0, p);
-}
-
-double chi_squared_quantile(double p, double k) {
-    if (k <= 0.0) throw std::invalid_argument("chi_squared_quantile: k must be > 0");
-    return 2.0 * inverse_regularized_gamma_p(0.5 * k, p);
 }
 
 double chi_squared_quantile_upper(double q, double k) {

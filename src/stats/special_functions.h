@@ -11,34 +11,24 @@
 
 namespace qrn::stats {
 
-/// Regularized lower incomplete gamma P(a, x) = gamma(a,x) / Gamma(a).
+/// Regularized upper incomplete gamma Q(a, x) = Gamma(a, x) / Gamma(a).
 /// Requires a > 0 and x >= 0. Accuracy ~1e-12 over the tested domain.
-[[nodiscard]] double regularized_gamma_p(double a, double x);
-
-/// Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x).
 [[nodiscard]] double regularized_gamma_q(double a, double x);
 
 /// Regularized incomplete beta I_x(a, b). Requires a, b > 0 and x in [0,1].
 [[nodiscard]] double regularized_beta(double a, double b, double x);
 
-/// Inverse of P(a, .): smallest x with P(a, x) >= p. Requires p in [0, 1).
-/// Full relative accuracy in x for p down to ~1e-300 and a up to ~1e8.
-[[nodiscard]] double inverse_regularized_gamma_p(double a, double p);
-
-/// Inverse of Q(a, .): x with Q(a, x) = q. Requires q in (0, 1]. Use this
-/// (not inverse_regularized_gamma_p(a, 1 - q)) when the UPPER tail mass is
-/// the small quantity - e.g. Garwood bounds at confidence 1 - 1e-9 - so the
-/// target never loses precision to the 1 - q rounding.
+/// Inverse of Q(a, .): x with Q(a, x) = q. Requires q in (0, 1]. The
+/// smaller tail mass is solved for directly, so a Garwood bound at
+/// confidence 1 - 1e-9 never loses precision to a 1 - q rounding. Full
+/// relative accuracy in x for tail masses down to ~1e-300 and a up to ~1e8.
 [[nodiscard]] double inverse_regularized_gamma_q(double a, double q);
 
 /// Inverse of I_.(a, b): x with I_x(a, b) = p. Requires p in [0, 1].
 [[nodiscard]] double inverse_regularized_beta(double a, double b, double p);
 
-/// Quantile of the chi-squared distribution with k degrees of freedom.
-[[nodiscard]] double chi_squared_quantile(double p, double k);
-
-/// Upper-tail chi-squared quantile: x with P(X > x) = q. The tail-mass
-/// counterpart of chi_squared_quantile(1 - q, k); prefer it for small q.
+/// Upper-tail chi-squared quantile with k degrees of freedom: x with
+/// P(X > x) = q.
 [[nodiscard]] double chi_squared_quantile_upper(double q, double k);
 
 /// Standard normal CDF Phi(x).

@@ -93,20 +93,4 @@ RateInterval splitting_rate_interval(const SplittingEstimate& estimate,
     return out;
 }
 
-std::vector<double> level_schedule(double first, double last, std::size_t count) {
-    if (count < 2) {
-        throw std::invalid_argument("level_schedule: count must be >= 2");
-    }
-    if (!(first < last)) {
-        throw std::invalid_argument("level_schedule: first must be < last");
-    }
-    std::vector<double> levels(count);
-    const double step = (last - first) / static_cast<double>(count - 1);
-    for (std::size_t i = 0; i < count; ++i) {
-        levels[i] = first + step * static_cast<double>(i);
-    }
-    levels.back() = last;  // exact endpoint regardless of rounding
-    return levels;
-}
-
 }  // namespace qrn::stats

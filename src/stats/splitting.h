@@ -92,16 +92,10 @@ struct SplittingEstimate {
 /// Converts a tail-probability estimate for a fixed-exposure trial into a
 /// frequency interval: each trial covers `hours_per_trial` of operation,
 /// and for rare events P(event in trial) ~= rate * hours_per_trial, so the
-/// interval divides through by the exposure. This is the bridge to the
-/// QRN's per-hour budget comparisons (RateInterval is what
-/// `qrn::quant::verify_budgets` consumes).
+/// interval divides through by the exposure, giving a per-hour interval
+/// comparable with the QRN's budgets. It does not feed an Eq. 1 verdict
+/// (docs/RARE_EVENTS.md).
 [[nodiscard]] RateInterval splitting_rate_interval(const SplittingEstimate& estimate,
                                                    double hours_per_trial);
-
-/// Evenly spaced level ladder from `first` to `last` inclusive
-/// (`count` >= 2, first < last): the default schedule when nothing better
-/// is known about the severity distribution.
-[[nodiscard]] std::vector<double> level_schedule(double first, double last,
-                                                 std::size_t count);
 
 }  // namespace qrn::stats

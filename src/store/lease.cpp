@@ -27,17 +27,17 @@ constexpr std::string_view kLeaseExtension = ".lease";
 }
 
 std::string lease_json(const Lease& lease) {
+    // Each json::Value is built in place inside its pair (no moved
+    // temporary; see Store::write_manifest_locked).
     json::Object doc;
-    doc.emplace_back("kind", json::Value(std::string(kLeaseKind)));
-    doc.emplace_back("node", json::Value(lease.node));
-    doc.emplace_back("owner", json::Value(lease.owner));
+    doc.emplace_back("kind", std::string(kLeaseKind));
+    doc.emplace_back("node", lease.node);
+    doc.emplace_back("owner", lease.owner);
     // Epoch milliseconds (~2^41) and generations sit far below 2^53, so
     // the JSON-number round trip is exact, as for manifest fleet indices.
-    doc.emplace_back("acquired_ms",
-                     json::Value(static_cast<std::size_t>(lease.acquired_ms)));
-    doc.emplace_back("ttl_ms", json::Value(static_cast<std::size_t>(lease.ttl_ms)));
-    doc.emplace_back("generation",
-                     json::Value(static_cast<std::size_t>(lease.generation)));
+    doc.emplace_back("acquired_ms", static_cast<std::size_t>(lease.acquired_ms));
+    doc.emplace_back("ttl_ms", static_cast<std::size_t>(lease.ttl_ms));
+    doc.emplace_back("generation", static_cast<std::size_t>(lease.generation));
     return json::Value(std::move(doc)).dump(2) + "\n";
 }
 

@@ -116,19 +116,21 @@ void Store::write_manifest_locked() const {
     json::Array shards;
     shards.reserve(entries_.size());
     for (const auto& [index, entry] : entries_) {
+        // Each json::Value is built in place inside its pair: no temporary
+        // is moved, which is also what keeps GCC 12's -Wmaybe-uninitialized
+        // quiet at -O2 about the variant move.
         json::Object row;
-        row.emplace_back("fleet_index", json::Value(static_cast<std::size_t>(index)));
-        row.emplace_back("file", json::Value(entry.file));
-        row.emplace_back("key", json::Value(key_hex(entry.cache_key)));
-        row.emplace_back("records",
-                         json::Value(static_cast<std::size_t>(entry.records)));
-        row.emplace_back("exposure_hours", json::Value(entry.exposure_hours));
+        row.emplace_back("fleet_index", static_cast<std::size_t>(index));
+        row.emplace_back("file", entry.file);
+        row.emplace_back("key", key_hex(entry.cache_key));
+        row.emplace_back("records", static_cast<std::size_t>(entry.records));
+        row.emplace_back("exposure_hours", entry.exposure_hours);
         shards.emplace_back(std::move(row));
     }
     json::Object doc;
-    doc.emplace_back("kind", json::Value(std::string(kManifestKind)));
-    doc.emplace_back("schema_version", json::Value(kManifestSchemaVersion));
-    doc.emplace_back("shards", json::Value(std::move(shards)));
+    doc.emplace_back("kind", std::string(kManifestKind));
+    doc.emplace_back("schema_version", kManifestSchemaVersion);
+    doc.emplace_back("shards", std::move(shards));
 
     const std::string path = manifest_path();
     const std::string tmp = path + std::string(kTempSuffix);

@@ -75,17 +75,17 @@ TEST(RefineGoal, SingleChannelVariant) {
     const auto goals = paper_goals();
     ChainTemplate chain;
     chain.perception_channels = 1;
-    const auto refinement = refine_goal(goals.at(0), chain);
+    const auto refinement = refine_goal(goals.all().at(0), chain);
     EXPECT_EQ(refinement.requirements().size(), 3u);
-    EXPECT_LE(refinement.combined_rate(), goals.at(0).max_frequency);
+    EXPECT_LE(refinement.combined_rate(), goals.all().at(0).max_frequency);
 }
 
 TEST(RefineGoal, RequirementsTraceToGoalAndCarryCauses) {
     const auto goals = paper_goals();
-    const auto refinement = refine_goal(goals.at(2), ChainTemplate{});
+    const auto refinement = refine_goal(goals.all().at(2), ChainTemplate{});
     bool has_perf = false, has_sys = false, has_hw = false;
     for (const auto& fsr : refinement.requirements()) {
-        EXPECT_EQ(fsr.safety_goal_id, goals.at(2).id);
+        EXPECT_EQ(fsr.safety_goal_id, goals.all().at(2).id);
         EXPECT_FALSE(fsr.text.empty());
         EXPECT_GT(fsr.budget.per_hour_value(), 0.0);
         has_perf |= fsr.cause == quant::CauseCategory::PerformanceLimitation;

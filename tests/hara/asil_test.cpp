@@ -12,8 +12,6 @@ TEST(AsilOrder, TotalOrder) {
     EXPECT_TRUE(asil_less(Asil::B, Asil::C));
     EXPECT_TRUE(asil_less(Asil::C, Asil::D));
     EXPECT_FALSE(asil_less(Asil::D, Asil::D));
-    EXPECT_EQ(asil_max(Asil::B, Asil::C), Asil::C);
-    EXPECT_EQ(asil_max(Asil::D, Asil::QM), Asil::D);
 }
 
 TEST(Decomposition, SchemesForD) {

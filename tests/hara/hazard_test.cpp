@@ -10,7 +10,7 @@ namespace qrn::hara {
 namespace {
 
 TEST(Hazard, DeriveAppliesEveryGuidewordToEveryFunction) {
-    const auto functions = conventional_vehicle_functions();
+    const auto functions = ads_functions();
     const auto hazards = derive_hazards(functions);
     EXPECT_EQ(hazards.size(), functions.size() * kGuidewordCount);
     std::set<std::string> unique;
@@ -30,12 +30,6 @@ TEST(Guideword, NamingAndIndexing) {
         EXPECT_NO_THROW(guideword_from_index(i));
     }
     EXPECT_THROW(guideword_from_index(kGuidewordCount), std::out_of_range);
-}
-
-TEST(FunctionLists, AdsHasMoreFunctionsThanConventional) {
-    // Part of the paper's complexity argument: the ADS item spans
-    // perception/prediction/planning functions a conventional item lacks.
-    EXPECT_GT(ads_functions().size(), conventional_vehicle_functions().size());
 }
 
 }  // namespace

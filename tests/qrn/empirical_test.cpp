@@ -111,21 +111,6 @@ TEST(TallyContributions, Validation) {
     EXPECT_THROW(tally_contributions(bad, types, 6), std::invalid_argument);
 }
 
-TEST(UpperBounds, ConservativeAndOneForNoEvidence) {
-    const auto types = IncidentTypeSet::paper_vru_example();
-    std::vector<LabelledIncident> labelled;
-    for (int i = 0; i < 30; ++i) labelled.push_back({vru_collision(5.0), 3});
-    for (int i = 0; i < 20; ++i) labelled.push_back({vru_collision(5.0), std::nullopt});
-    const auto counts = tally_contributions(labelled, types, 6);
-    const auto upper = counts.upper_bounds(0.95);
-    const auto point = counts.point_matrix();
-    // The bound dominates the point estimate where there is evidence.
-    EXPECT_GT(upper[3][1], point.fraction(3, 1) - 1e-12);
-    EXPECT_LT(upper[3][1], 1.0);
-    // No evidence for I1 at all: bound stays 1.
-    EXPECT_DOUBLE_EQ(upper[0][0], 1.0);
-}
-
 TEST(EndToEnd, EmpiricalMatrixConvergesToModelDerived) {
     // Generate a large synthetic "accident database" of I2/I3 collisions
     // uniform over each band, label it, and compare the estimated fractions
@@ -142,7 +127,7 @@ TEST(EndToEnd, EmpiricalMatrixConvergesToModelDerived) {
         incidents.push_back(vru_collision(rng.uniform(1e-6, 10.0)));   // I2 band
         incidents.push_back(vru_collision(rng.uniform(10.0, 70.0)));   // I3 band
     }
-    const auto labelled = label_incidents(incidents, norm, model, {0.6, 0.4}, rng);
+    const auto labelled = label_incidents(incidents, norm, model, {0.6, 0.4}, 5, 1);
     const auto counts = tally_contributions(labelled, types, norm.size());
     const auto empirical = counts.point_matrix();
 

@@ -18,12 +18,13 @@ TEST(ExposureHours, ConstructionAndDomain) {
 }
 
 TEST(ExposureHours, Addition) {
-    EXPECT_DOUBLE_EQ((ExposureHours(2.0) + ExposureHours(3.5)).hours(), 5.5);
+    ExposureHours total(2.0);
+    total += ExposureHours(3.5);
+    EXPECT_DOUBLE_EQ(total.hours(), 5.5);
 }
 
 TEST(Frequency, NamedConstructors) {
     EXPECT_DOUBLE_EQ(Frequency::per_hour(1e-7).per_hour_value(), 1e-7);
-    EXPECT_DOUBLE_EQ(Frequency::once_per_hours(1e7).per_hour_value(), 1e-7);
     EXPECT_DOUBLE_EQ(Frequency::of_count(5.0, ExposureHours(100.0)).per_hour_value(),
                      0.05);
 }
@@ -32,25 +33,16 @@ TEST(Frequency, ConstructionDomain) {
     EXPECT_THROW(Frequency::per_hour(-1.0), std::invalid_argument);
     EXPECT_THROW(Frequency::per_hour(std::numeric_limits<double>::quiet_NaN()),
                  std::invalid_argument);
-    EXPECT_THROW(Frequency::once_per_hours(0.0), std::invalid_argument);
     EXPECT_THROW(Frequency::of_count(-1.0, ExposureHours(1.0)), std::invalid_argument);
     EXPECT_THROW(Frequency::of_count(1.0, ExposureHours(0.0)), std::invalid_argument);
 }
 
 TEST(Frequency, ConeAlgebra) {
-    const auto a = Frequency::per_hour(2e-6);
-    const auto b = Frequency::per_hour(3e-6);
-    EXPECT_DOUBLE_EQ((a + b).per_hour_value(), 5e-6);
+    auto a = Frequency::per_hour(2e-6);
     EXPECT_DOUBLE_EQ((a * 0.5).per_hour_value(), 1e-6);
-    EXPECT_DOUBLE_EQ((2.0 * a).per_hour_value(), 4e-6);
     EXPECT_THROW(a * -1.0, std::invalid_argument);
-}
-
-TEST(Frequency, SaturatingSubtraction) {
-    const auto a = Frequency::per_hour(5e-6);
-    const auto b = Frequency::per_hour(2e-6);
-    EXPECT_DOUBLE_EQ(a.saturating_sub(b).per_hour_value(), 3e-6);
-    EXPECT_DOUBLE_EQ(b.saturating_sub(a).per_hour_value(), 0.0);
+    a += Frequency::per_hour(3e-6);
+    EXPECT_DOUBLE_EQ(a.per_hour_value(), 5e-6);
 }
 
 TEST(Frequency, ComparisonAndZero) {
@@ -60,9 +52,8 @@ TEST(Frequency, ComparisonAndZero) {
     EXPECT_FALSE(Frequency::per_hour(1e-9).is_zero());
 }
 
-TEST(Frequency, ExpectedEventsAndRatio) {
+TEST(Frequency, Ratio) {
     const auto f = Frequency::per_hour(1e-4);
-    EXPECT_DOUBLE_EQ(f.expected_events(ExposureHours(2e4)), 2.0);
     EXPECT_DOUBLE_EQ(f.ratio(Frequency::per_hour(1e-5)), 10.0);
     EXPECT_THROW(f.ratio(Frequency()), std::invalid_argument);
 }

@@ -67,7 +67,8 @@ TEST(IncidentTypeSet, PaperVruExample) {
     const auto set = IncidentTypeSet::paper_vru_example();
     ASSERT_EQ(set.size(), 3u);
     EXPECT_EQ(set.at(0).id(), "I1");
-    EXPECT_EQ(set.by_id("I3").margin().impact_band().upper_kmh, 70.0);
+    EXPECT_EQ(set.at(2).id(), "I3");
+    EXPECT_EQ(set.at(2).margin().impact_band().upper_kmh, 70.0);
     EXPECT_EQ(set.index_of("I2"), 1u);
     EXPECT_FALSE(set.index_of("I9").has_value());
 }

@@ -21,8 +21,6 @@ TEST(ProductLine, VariantsAllocateAgainstTheSharedNorm) {
     line.add_variant("shuttle", {8.0, 1.0, 0.2});
     line.add_variant("taxi", {2.0, 1.0, 1.0});
     EXPECT_EQ(line.size(), 2u);
-    const auto names = line.names();
-    EXPECT_EQ(names.size(), 2u);
     // Allocations differ but both are norm-satisfying by construction.
     EXPECT_NE(line.variant("shuttle").budgets[0].per_hour_value(),
               line.variant("taxi").budgets[0].per_hour_value());
@@ -33,31 +31,6 @@ TEST(ProductLine, DuplicateAndUnknownNames) {
     line.add_variant("a", {1.0, 1.0, 1.0});
     EXPECT_THROW(line.add_variant("a", {2.0, 1.0, 1.0}), std::invalid_argument);
     EXPECT_THROW(line.variant("nope"), std::out_of_range);
-}
-
-TEST(ProductLine, ExplicitBudgetsMustSatisfyTheNorm) {
-    auto line = make_line();
-    EXPECT_THROW(
-        line.add_variant_with_budgets("hot", std::vector<Frequency>(
-                                                 3, Frequency::per_hour(1.0))),
-        std::invalid_argument);
-    line.add_variant_with_budgets(
-        "cold", std::vector<Frequency>(3, Frequency::per_hour(1e-12)));
-    EXPECT_EQ(line.size(), 1u);
-}
-
-TEST(ProductLine, GoalsShareTextShapeButNotFrequencies) {
-    auto line = make_line();
-    line.add_variant("shuttle", {8.0, 1.0, 0.2});
-    line.add_variant("bus", {1.0, 1.0, 3.0});
-    const auto shuttle_goals = line.goals_of("shuttle");
-    const auto bus_goals = line.goals_of("bus");
-    ASSERT_EQ(shuttle_goals.size(), bus_goals.size());
-    for (std::size_t k = 0; k < shuttle_goals.size(); ++k) {
-        EXPECT_EQ(shuttle_goals.at(k).id, bus_goals.at(k).id);
-        EXPECT_NE(shuttle_goals.at(k).max_frequency.per_hour_value(),
-                  bus_goals.at(k).max_frequency.per_hour_value());
-    }
 }
 
 TEST(ProductLine, BudgetSpreadQuantifiesVariability) {

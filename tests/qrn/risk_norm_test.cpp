@@ -41,14 +41,6 @@ TEST(RiskNorm, RejectsZeroLimitAndShapeMismatch) {
                  std::invalid_argument);
 }
 
-TEST(RiskNorm, DomainTotals) {
-    const auto norm = RiskNorm::paper_example();
-    EXPECT_NEAR(norm.domain_total(ConsequenceDomain::Quality).per_hour_value(),
-                1e-3 + 1e-4 + 1e-5, 1e-15);
-    EXPECT_NEAR(norm.domain_total(ConsequenceDomain::Safety).per_hour_value(),
-                1e-6 + 1e-7 + 1e-8, 1e-20);
-}
-
 TEST(RiskNorm, EntryAccess) {
     const auto norm = RiskNorm::paper_example();
     const auto entry = norm.entry(3);

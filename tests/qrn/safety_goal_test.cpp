@@ -37,14 +37,13 @@ TEST(SafetyGoalSet, DeriveOneGoalPerType) {
     const auto alloc = allocate_proportional(p);
     const auto goals = SafetyGoalSet::derive(p, alloc);
     ASSERT_EQ(goals.size(), 3u);
-    EXPECT_EQ(goals.at(0).id, "SG-I1");
-    EXPECT_EQ(goals.at(1).incident_type_id, "I2");
+    EXPECT_EQ(goals.all().at(0).id, "SG-I1");
+    EXPECT_EQ(goals.all().at(1).incident_type_id, "I2");
     EXPECT_EQ(goals.by_incident_type("I3").counterparty, ActorType::Vru);
     EXPECT_EQ(goals.by_incident_type("I1").mechanism, IncidentMechanism::NearMiss);
     for (std::size_t k = 0; k < goals.size(); ++k) {
-        EXPECT_EQ(goals.at(k).max_frequency, alloc.budgets[k]);
+        EXPECT_EQ(goals.all().at(k).max_frequency, alloc.budgets[k]);
     }
-    EXPECT_THROW(goals.at(3), std::out_of_range);
     EXPECT_THROW(goals.by_incident_type("I9"), std::out_of_range);
 }
 

@@ -80,7 +80,9 @@ TEST(IncidentTypesJson, RoundTripUnboundedBand) {
     const auto restored =
         incident_types_from_json(json::parse(to_json(types).dump()));
     ASSERT_EQ(restored.size(), types.size());
-    const auto& top = restored.by_id("I-VRU-C3");
+    const auto top_index = restored.index_of("I-VRU-C3");
+    ASSERT_TRUE(top_index.has_value());
+    const auto& top = restored.at(*top_index);
     EXPECT_TRUE(std::isinf(top.margin().impact_band().upper_kmh));
 }
 

@@ -9,13 +9,6 @@
 namespace qrn::quant {
 namespace {
 
-TEST(SeriesRate, RatesAdd) {
-    const auto total = series_rate(
-        {Frequency::per_hour(1e-6), Frequency::per_hour(2e-6), Frequency::per_hour(3e-6)});
-    EXPECT_NEAR(total.per_hour_value(), 6e-6, 1e-18);
-    EXPECT_DOUBLE_EQ(series_rate({}).per_hour_value(), 0.0);
-}
-
 TEST(ParallelRate, ProductWithWindow) {
     // Two 1e-3 channels with a 1 h window: 2 * 1e-3 * 1e-3 * 1 = 2e-6.
     const auto r = parallel_rate(Frequency::per_hour(1e-3), Frequency::per_hour(1e-3), 1.0);
@@ -62,17 +55,6 @@ TEST(KofN, Domain) {
     EXPECT_THROW(k_of_n_rate(4, 3, l, 1.0), std::invalid_argument);
     EXPECT_THROW(k_of_n_rate(1, 3, l, 0.0), std::invalid_argument);
     EXPECT_THROW(k_of_n_rate(1, 30, l, 1.0), std::invalid_argument);
-}
-
-TEST(UnifiedBudget, SumsAcrossCauseCategories) {
-    const std::vector<CauseContribution> contributions = {
-        {CauseCategory::SystematicDesign, Frequency::per_hour(3e-8)},
-        {CauseCategory::RandomHardware, Frequency::per_hour(2e-8)},
-        {CauseCategory::PerformanceLimitation, Frequency::per_hour(4e-8)},
-    };
-    EXPECT_NEAR(unified_total(contributions).per_hour_value(), 9e-8, 1e-20);
-    EXPECT_TRUE(within_budget(contributions, Frequency::per_hour(1e-7)));
-    EXPECT_FALSE(within_budget(contributions, Frequency::per_hour(8e-8)));
 }
 
 TEST(CauseCategory, Naming) {

@@ -9,19 +9,6 @@
 namespace qrn::report {
 namespace {
 
-TEST(BarChart, ScalesToWidth) {
-    const auto text = bar_chart({{"big", 10.0}, {"half", 5.0}}, 10);
-    // The max value fills the width; half fills half.
-    EXPECT_NE(text.find("big  |##########"), std::string::npos);
-    EXPECT_NE(text.find("half |#####"), std::string::npos);
-}
-
-TEST(BarChart, HandlesAllZero) {
-    const auto text = bar_chart({{"a", 0.0}, {"b", 0.0}}, 10);
-    EXPECT_NE(text.find("a |"), std::string::npos);
-    EXPECT_EQ(text.find('#'), std::string::npos);
-}
-
 TEST(LogBarChart, OrdersDecadesMonotonically) {
     const auto text = log_bar_chart(
         {{"q", 1e-3}, {"s1", 1e-6}, {"s3", 1e-8}}, 40);

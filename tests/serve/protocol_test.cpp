@@ -39,6 +39,15 @@ TEST(Frame, LayoutIsLengthCodePayload) {
     EXPECT_EQ(frame.substr(5), "abc");
 }
 
+TEST(Frame, PayloadIsCappedOneByteBelowTheFrameLimit) {
+    // The length prefix counts the code byte, so the largest payload a
+    // frame can carry is kMaxFrameBytes - 1 bytes.
+    const auto code = static_cast<std::uint8_t>(Opcode::Classify);
+    const std::string frame = encode_frame(code, std::string(kMaxFrameBytes - 1, '\0'));
+    EXPECT_EQ(frame.size(), 4u + kMaxFrameBytes);
+    EXPECT_THROW(encode_frame(code, std::string(kMaxFrameBytes, '\0')), ProtocolError);
+}
+
 TEST(ClassifyPayload, RoundTripsExposureAndRecords) {
     const auto batch = sample_batch(17);
     const auto payload = encode_classify_payload(12.5, batch);

@@ -60,6 +60,20 @@ void write_file(const std::string& path, const std::string& content) {
     f << content;
 }
 
+/// Reads one reply frame from a raw socket: the status byte, then the
+/// payload.
+std::string read_reply_frame(Socket& socket) {
+    unsigned char head[4];
+    if (!socket.read_exact(head, sizeof(head))) return {};
+    const std::uint32_t length = static_cast<std::uint32_t>(head[0]) |
+                                 (static_cast<std::uint32_t>(head[1]) << 8) |
+                                 (static_cast<std::uint32_t>(head[2]) << 16) |
+                                 (static_cast<std::uint32_t>(head[3]) << 24);
+    std::string reply(length, '\0');
+    if (!socket.read_exact(reply.data(), reply.size())) return {};
+    return reply;
+}
+
 std::vector<Incident> sample_batch(std::size_t count, std::uint64_t start = 0) {
     std::vector<Incident> out;
     out.reserve(count);
@@ -206,26 +220,15 @@ TEST_F(ServeE2E, MalformedPayloadGetsErrorReplyAndConnectionSurvives) {
     // A classify frame whose payload is shorter than its fixed header.
     socket.write_all(encode_frame(static_cast<std::uint8_t>(Opcode::Classify),
                                   "junk"));
-    unsigned char head[4];
-    ASSERT_TRUE(socket.read_exact(head, sizeof(head)));
-    const std::uint32_t length = static_cast<std::uint32_t>(head[0]) |
-                                 (static_cast<std::uint32_t>(head[1]) << 8) |
-                                 (static_cast<std::uint32_t>(head[2]) << 16) |
-                                 (static_cast<std::uint32_t>(head[3]) << 24);
-    std::string reply(length, '\0');
-    ASSERT_TRUE(socket.read_exact(reply.data(), reply.size()));
+    const std::string reply = read_reply_frame(socket);
+    ASSERT_FALSE(reply.empty());
     EXPECT_EQ(static_cast<std::uint8_t>(reply[0]),
               static_cast<std::uint8_t>(Status::Error));
 
     // Same connection, unknown opcode: another Error reply, still alive.
     socket.write_all(encode_frame(99, ""));
-    ASSERT_TRUE(socket.read_exact(head, sizeof(head)));
-    const std::uint32_t length2 = static_cast<std::uint32_t>(head[0]) |
-                                  (static_cast<std::uint32_t>(head[1]) << 8) |
-                                  (static_cast<std::uint32_t>(head[2]) << 16) |
-                                  (static_cast<std::uint32_t>(head[3]) << 24);
-    std::string reply2(length2, '\0');
-    ASSERT_TRUE(socket.read_exact(reply2.data(), reply2.size()));
+    const std::string reply2 = read_reply_frame(socket);
+    ASSERT_FALSE(reply2.empty());
     EXPECT_EQ(static_cast<std::uint8_t>(reply2[0]),
               static_cast<std::uint8_t>(Status::Error));
     socket.close();
@@ -233,6 +236,45 @@ TEST_F(ServeE2E, MalformedPayloadGetsErrorReplyAndConnectionSurvives) {
     // A fresh client still gets service.
     auto c = client();
     EXPECT_EQ(c.status().status, Status::Ok);
+}
+
+TEST_F(ServeE2E, HeaderPastTheFrameCapClosesTheConnectionUnread) {
+    start(/*shard_roll=*/4096);
+    auto socket = Socket::connect_unix(socket_path_);
+    // A header announcing kMaxFrameBytes + 1 and no payload behind it. The
+    // reader must hang up at once: one that waited for the payload would
+    // leave this socket silent past the poll timeout.
+    const std::uint32_t length = kMaxFrameBytes + 1;
+    std::string head(4, '\0');
+    for (int i = 0; i < 4; ++i) head[i] = static_cast<char>((length >> (8 * i)) & 0xFFu);
+    socket.write_all(head);
+    ASSERT_TRUE(socket.wait_readable(5000));
+    unsigned char byte = 0;
+    EXPECT_FALSE(socket.read_exact(&byte, 1));  // EOF, no reply frame
+
+    // The daemon still serves another client.
+    auto c = client();
+    EXPECT_EQ(c.status().status, Status::Ok);
+}
+
+TEST_F(ServeE2E, MalformedClassifyFrameAtTheCapGetsAnErrorReply) {
+    start(/*shard_roll=*/4096);
+    auto socket = Socket::connect_unix(socket_path_);
+    // A frame of exactly kMaxFrameBytes is legal framing; its all-zero
+    // payload announces 0 records but carries ~16 MiB, so decoding fails
+    // with a typed Error reply instead of a closed connection.
+    socket.write_all(encode_frame(static_cast<std::uint8_t>(Opcode::Classify),
+                                  std::string(kMaxFrameBytes - 1, '\0')));
+    const std::string reply = read_reply_frame(socket);
+    ASSERT_FALSE(reply.empty());
+    EXPECT_EQ(static_cast<std::uint8_t>(reply[0]),
+              static_cast<std::uint8_t>(Status::Error));
+
+    // The same connection stays open for the next request.
+    socket.write_all(encode_frame(static_cast<std::uint8_t>(Opcode::Status), ""));
+    const std::string status = read_reply_frame(socket);
+    ASSERT_FALSE(status.empty());
+    EXPECT_EQ(static_cast<std::uint8_t>(status[0]), static_cast<std::uint8_t>(Status::Ok));
 }
 
 TEST_F(ServeE2E, DrainSealsThePartialShardAndRestartResumesThere) {

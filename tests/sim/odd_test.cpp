@@ -53,38 +53,10 @@ TEST(Odd, WeatherAndNightGates) {
     EXPECT_FALSE(odd.contains(env));
 }
 
-TEST(Odd, RestrictionIsIntersection) {
-    Odd a = Odd::urban();         // <= 50 km/h, vru <= 5
-    Odd b = Odd::highway();       // <= 120 km/h, vru <= 0.2
-    const Odd c = a.restricted_by(b);
-    EXPECT_DOUBLE_EQ(c.max_speed_limit_kmh, 50.0);
-    EXPECT_DOUBLE_EQ(c.max_vru_density, 0.2);
-    EXPECT_FALSE(c.allow_snow);
-    // Restriction can only shrink: anything inside c is inside both.
-    auto env = benign();
-    env.vru_density = 0.1;
-    EXPECT_TRUE(c.contains(env));
-    EXPECT_TRUE(a.contains(env));
-    EXPECT_TRUE(b.contains(env));
-}
-
-TEST(Odd, RestrictionIsIdempotent) {
-    const Odd a = Odd::urban();
-    const Odd c = a.restricted_by(a);
-    EXPECT_DOUBLE_EQ(c.max_speed_limit_kmh, a.max_speed_limit_kmh);
-    EXPECT_EQ(c.allow_rain, a.allow_rain);
-    EXPECT_DOUBLE_EQ(c.min_friction, a.min_friction);
-}
-
 TEST(Odd, DescribeMentionsLimits) {
     const auto text = Odd::urban().describe();
     EXPECT_NE(text.find("50"), std::string::npos);
     EXPECT_NE(text.find("rain"), std::string::npos);
-}
-
-TEST(EnumNames, WeatherAndLighting) {
-    EXPECT_EQ(to_string(Weather::Snow), "snow");
-    EXPECT_EQ(to_string(Lighting::Dusk), "dusk");
 }
 
 }  // namespace

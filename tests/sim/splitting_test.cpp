@@ -175,7 +175,8 @@ TEST(RunSplitting, HundredFoldCheaperThanNaiveMcAtRareTail) {
     ASSERT_GT(truth, 5e-9);
     ASSERT_LT(truth, 5e-8);
     SplittingConfig config;
-    config.levels = stats::level_schedule(8.0, t, 13);  // 8, 12, ..., 56
+    config.levels = {8.0, 12.0, 16.0, 20.0, 24.0, 28.0, 32.0,
+                     36.0, 40.0, 44.0, 48.0, 52.0, t};
     config.trials_per_level = 2000;
     config.confidence = 0.95;
     config.seed = 31;

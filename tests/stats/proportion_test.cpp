@@ -1,4 +1,5 @@
-// Proportion intervals: reference values, ordering, and coverage sweep.
+// Clopper-Pearson proportion interval: reference values, range, and a
+// coverage sweep.
 #include "stats/proportion.h"
 
 #include <cmath>
@@ -10,14 +11,6 @@
 
 namespace qrn::stats {
 namespace {
-
-TEST(Wilson, KnownValue) {
-    // 8/10 at 95%: Wilson = (0.4901, 0.9433) (standard reference).
-    const auto ci = wilson_interval(8, 10, 0.95);
-    EXPECT_NEAR(ci.lower, 0.4901, 5e-4);
-    EXPECT_NEAR(ci.upper, 0.9433, 5e-4);
-    EXPECT_DOUBLE_EQ(ci.point, 0.8);
-}
 
 TEST(ClopperPearson, KnownValue) {
     // 8/10 at 95%: CP = (0.4439, 0.9748).
@@ -35,45 +28,24 @@ TEST(ClopperPearson, ExtremesAreExact) {
     EXPECT_DOUBLE_EQ(all.upper, 1.0);
 }
 
-TEST(Jeffreys, NestedBetweenPointAndCp) {
-    const auto j = jeffreys_interval(8, 10, 0.95);
-    const auto cp = clopper_pearson_interval(8, 10, 0.95);
-    // Jeffreys is narrower than the conservative Clopper-Pearson.
-    EXPECT_GE(j.lower, cp.lower);
-    EXPECT_LE(j.upper, cp.upper);
-    EXPECT_LE(j.lower, 0.8);
-    EXPECT_GE(j.upper, 0.8);
-}
-
 TEST(Proportion, IntervalsStayInsideUnitRange) {
     for (std::uint64_t k : {0ULL, 1ULL, 5ULL, 10ULL}) {
-        for (auto fn : {wilson_interval, clopper_pearson_interval, jeffreys_interval}) {
-            const auto ci = fn(k, 10, 0.99);
-            EXPECT_GE(ci.lower, 0.0);
-            EXPECT_LE(ci.upper, 1.0);
-            EXPECT_LE(ci.lower, ci.upper);
-        }
+        const auto ci = clopper_pearson_interval(k, 10, 0.99);
+        EXPECT_GE(ci.lower, 0.0);
+        EXPECT_LE(ci.upper, 1.0);
+        EXPECT_LE(ci.lower, ci.upper);
     }
-}
-
-TEST(Proportion, Domain) {
-    EXPECT_THROW(wilson_interval(1, 0, 0.95), std::invalid_argument);
-    EXPECT_THROW(wilson_interval(11, 10, 0.95), std::invalid_argument);
-    EXPECT_THROW(clopper_pearson_interval(1, 10, 1.0), std::invalid_argument);
-    EXPECT_THROW(jeffreys_interval(1, 10, 0.0), std::invalid_argument);
 }
 
 // Pins the full precondition matrix (zero trials, successes > trials,
-// confidence outside (0, 1)) for every interval the CLI contracts rely on.
+// confidence outside (0, 1)) the CLI contracts rely on.
 TEST(Proportion, PreconditionsPinnedForCliContract) {
-    for (auto fn : {wilson_interval, clopper_pearson_interval, jeffreys_interval}) {
-        EXPECT_THROW(fn(0, 0, 0.95), std::invalid_argument);
-        EXPECT_THROW(fn(5, 4, 0.95), std::invalid_argument);
-        EXPECT_THROW(fn(1, 10, 0.0), std::invalid_argument);
-        EXPECT_THROW(fn(1, 10, 1.0), std::invalid_argument);
-        EXPECT_THROW(fn(1, 10, -0.2), std::invalid_argument);
-        EXPECT_THROW(fn(1, 10, 1.2), std::invalid_argument);
-    }
+    EXPECT_THROW(clopper_pearson_interval(0, 0, 0.95), std::invalid_argument);
+    EXPECT_THROW(clopper_pearson_interval(5, 4, 0.95), std::invalid_argument);
+    EXPECT_THROW(clopper_pearson_interval(1, 10, 0.0), std::invalid_argument);
+    EXPECT_THROW(clopper_pearson_interval(1, 10, 1.0), std::invalid_argument);
+    EXPECT_THROW(clopper_pearson_interval(1, 10, -0.2), std::invalid_argument);
+    EXPECT_THROW(clopper_pearson_interval(1, 10, 1.2), std::invalid_argument);
 }
 
 /// Clopper-Pearson is conservative by construction: empirical coverage must

@@ -1,5 +1,5 @@
-// Exact Poisson rate intervals: reference values, the rule of three, and a
-// Monte-Carlo coverage property for the Garwood interval.
+// Exact Poisson rate bounds: reference values, the rule of three, and a
+// Monte-Carlo coverage property for the one-sided Garwood upper bound.
 #include "stats/rate_estimation.h"
 
 #include <cmath>
@@ -19,34 +19,25 @@ TEST(RateMle, BasicAndDomain) {
 }
 
 TEST(Garwood, ZeroEventsMatchesRuleOfThree) {
-    const auto ci = garwood_interval({0, 1000.0}, 0.95);
-    EXPECT_DOUBLE_EQ(ci.lower, 0.0);
-    // Two-sided upper for k=0: chi2(0.975, 2)/2 / T = -ln(0.025)/T ~ 3.69/T.
-    EXPECT_NEAR(ci.upper, -std::log(0.025) / 1000.0, 1e-9);
     // One-sided 95% upper bound: -ln(0.05)/T ~ 3.0/T (the rule of three).
     EXPECT_NEAR(rate_upper_bound({0, 1000.0}, 0.95), -std::log(0.05) / 1000.0, 1e-9);
 }
 
 TEST(Garwood, KnownValues) {
-    // k=5, T=100h, 95%: Garwood CI = [chi2(.025,10)/2, chi2(.975,12)/2] / 100
-    // = [1.6235, 11.668] / 100.
-    const auto ci = garwood_interval({5, 100.0}, 0.95);
-    EXPECT_NEAR(ci.lower, 1.623486 / 100.0, 1e-5);
-    EXPECT_NEAR(ci.upper, 11.66833 / 100.0, 1e-4);
-    EXPECT_DOUBLE_EQ(ci.point, 0.05);
+    // k=5, T=100h: the 97.5% upper bound is chi2(.975, 12)/2 / 100
+    // = 11.66833 / 100.
+    EXPECT_NEAR(rate_upper_bound({5, 100.0}, 0.975), 11.66833 / 100.0, 1e-4);
 }
 
 TEST(Garwood, IntervalContainsPointEstimate) {
     for (std::uint64_t k : {0ULL, 1ULL, 3ULL, 17ULL, 120ULL}) {
-        const auto ci = garwood_interval({k, 250.0}, 0.9);
-        EXPECT_LE(ci.lower, ci.point);
-        EXPECT_GE(ci.upper, ci.point);
+        const RateObservation obs{k, 250.0};
+        EXPECT_GE(rate_upper_bound(obs, 0.9), rate_mle(obs));
     }
 }
 
 TEST(Bounds, OneSidedOrdering) {
     const RateObservation obs{7, 500.0};
-    EXPECT_LT(rate_lower_bound(obs, 0.95), rate_mle(obs));
     EXPECT_GT(rate_upper_bound(obs, 0.95), rate_mle(obs));
     // Higher confidence widens the one-sided bound.
     EXPECT_GT(rate_upper_bound(obs, 0.99), rate_upper_bound(obs, 0.9));
@@ -56,22 +47,15 @@ TEST(Bounds, Domain) {
     EXPECT_THROW(rate_upper_bound({1, 10.0}, 0.0), std::invalid_argument);
     EXPECT_THROW(rate_upper_bound({1, 10.0}, 1.0), std::invalid_argument);
     EXPECT_THROW(rate_upper_bound({1, -1.0}, 0.9), std::invalid_argument);
-    EXPECT_DOUBLE_EQ(rate_lower_bound({0, 10.0}, 0.9), 0.0);
 }
 
 // Pins the precondition contract the CLI's checked-parsing layer relies
 // on: zero/negative exposure and confidence outside (0, 1) must throw for
 // every estimator, never return a number.
 TEST(Bounds, PreconditionsPinnedForCliContract) {
-    EXPECT_THROW(garwood_interval({1, 0.0}, 0.95), std::invalid_argument);
-    EXPECT_THROW(garwood_interval({0, -10.0}, 0.95), std::invalid_argument);
-    EXPECT_THROW(garwood_interval({1, 10.0}, 0.0), std::invalid_argument);
-    EXPECT_THROW(garwood_interval({1, 10.0}, 1.0), std::invalid_argument);
-    EXPECT_THROW(garwood_interval({1, 10.0}, -0.5), std::invalid_argument);
-    EXPECT_THROW(garwood_interval({1, 10.0}, 1.5), std::invalid_argument);
     EXPECT_THROW(rate_upper_bound({0, 0.0}, 0.95), std::invalid_argument);
-    EXPECT_THROW(rate_lower_bound({1, 0.0}, 0.95), std::invalid_argument);
-    EXPECT_THROW(rate_lower_bound({1, 10.0}, 1.0), std::invalid_argument);
+    EXPECT_THROW(rate_upper_bound({1, 10.0}, -0.5), std::invalid_argument);
+    EXPECT_THROW(rate_upper_bound({1, 10.0}, 1.5), std::invalid_argument);
     EXPECT_THROW(rate_mle({0, -1.0}), std::invalid_argument);
     EXPECT_THROW(exposure_needed_for_zero_events(-1e-7, 0.95),
                  std::invalid_argument);
@@ -86,36 +70,6 @@ TEST(ExposureNeeded, InvertsRuleOfThree) {
     // Observing 0 events over t hours must bound the rate at exactly 1e-7.
     EXPECT_NEAR(rate_upper_bound({0, t}, 0.95), 1e-7, 1e-15);
     EXPECT_THROW(exposure_needed_for_zero_events(0.0, 0.95), std::invalid_argument);
-}
-
-TEST(RateRatioTest, EqualRatesGiveHighPValue) {
-    const auto result = rate_ratio_test({50, 1000.0}, {50, 1000.0});
-    EXPECT_DOUBLE_EQ(result.ratio, 1.0);
-    EXPECT_GT(result.p_value, 0.9);
-}
-
-TEST(RateRatioTest, ClearlyDifferentRatesGiveLowPValue) {
-    const auto result = rate_ratio_test({100, 1000.0}, {20, 1000.0});
-    EXPECT_NEAR(result.ratio, 5.0, 1e-12);
-    EXPECT_LT(result.p_value, 1e-6);
-}
-
-TEST(RateRatioTest, AccountsForUnequalExposure) {
-    // 100 events in 1000 h vs 200 events in 2000 h: identical rates.
-    const auto same = rate_ratio_test({100, 1000.0}, {200, 2000.0});
-    EXPECT_GT(same.p_value, 0.5);
-    // 100 in 1000 vs 100 in 4000: a 4x rate difference.
-    const auto different = rate_ratio_test({100, 1000.0}, {100, 4000.0});
-    EXPECT_LT(different.p_value, 1e-6);
-}
-
-TEST(RateRatioTest, EdgeCases) {
-    const auto empty = rate_ratio_test({0, 100.0}, {0, 100.0});
-    EXPECT_DOUBLE_EQ(empty.p_value, 1.0);
-    const auto one_sided = rate_ratio_test({5, 100.0}, {0, 100.0});
-    EXPECT_TRUE(std::isinf(one_sided.ratio));
-    EXPECT_LE(one_sided.p_value, 1.0);
-    EXPECT_THROW(rate_ratio_test({1, 0.0}, {1, 10.0}), std::invalid_argument);
 }
 
 TEST(HeterogeneityTest, HomogeneousSamplesYieldHighPValues) {
@@ -152,22 +106,9 @@ TEST(HeterogeneityTest, PooledRateAndEdgeCases) {
     EXPECT_THROW(rate_heterogeneity_test({{1, 10.0}, {1, 0.0}}), std::invalid_argument);
 }
 
-TEST(RateRatioTest, PValueIsValidUnderTheNull) {
-    // Simulated null: both rates 0.05/h, 500 h each; P(p < 0.05) <~ 0.05.
-    Rng rng(0xAB);
-    int rejections = 0;
-    const int trials = 2000;
-    for (int t = 0; t < trials; ++t) {
-        const std::uint64_t k1 = rng.poisson(25.0);
-        const std::uint64_t k2 = rng.poisson(25.0);
-        if (rate_ratio_test({k1, 500.0}, {k2, 500.0}).p_value < 0.05) ++rejections;
-    }
-    EXPECT_LT(rejections / static_cast<double>(trials), 0.07);
-}
-
-/// Coverage property: the 90% Garwood interval must cover the true rate in
-/// at least ~90% of simulated experiments (it is conservative, so >= 90%
-/// minus Monte-Carlo noise).
+/// Coverage property: the 95% one-sided upper bound behind every Eq. 1
+/// verdict must lie at or above the true rate in at least ~95% of simulated
+/// experiments (it is conservative, so >= 95% minus Monte-Carlo noise).
 class GarwoodCoverage : public ::testing::TestWithParam<double> {};
 
 TEST_P(GarwoodCoverage, CoversTrueRate) {
@@ -178,10 +119,9 @@ TEST_P(GarwoodCoverage, CoversTrueRate) {
     const int trials = 3000;
     for (int i = 0; i < trials; ++i) {
         const std::uint64_t k = rng.poisson(true_rate * exposure);
-        const auto ci = garwood_interval({k, exposure}, 0.90);
-        if (ci.lower <= true_rate && true_rate <= ci.upper) ++covered;
+        if (true_rate <= rate_upper_bound({k, exposure}, 0.95)) ++covered;
     }
-    EXPECT_GE(covered / static_cast<double>(trials), 0.88)
+    EXPECT_GE(covered / static_cast<double>(trials), 0.93)
         << "true rate " << true_rate;
 }
 

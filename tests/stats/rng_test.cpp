@@ -235,21 +235,6 @@ TEST(Rng, PoissonLargeMean) {
     EXPECT_NEAR(sum2 / n - mean * mean, 100.0, 5.0);  // var == mean
 }
 
-TEST(Rng, FillUniformMatchesSequentialDraws) {
-    // The batched primitive is a drop-in for a scalar loop: same seed,
-    // same draw sequence, bit for bit. The simulator's determinism
-    // contract across --jobs rests on this equivalence.
-    Rng batched(97);
-    std::vector<double> out(257);
-    batched.fill_uniform(out.data(), out.size());
-    Rng sequential(97);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        EXPECT_EQ(out[i], sequential.uniform()) << "draw " << i;
-    }
-    // And the generators end in the same state: the next draws agree too.
-    EXPECT_EQ(batched.uniform(), sequential.uniform());
-}
-
 TEST(Rng, FillPoissonMatchesSequentialDraws) {
     // Mixed regimes on purpose: the inversion path (small means) and the
     // rejection path (large means) must both stay sequence-identical.
@@ -267,7 +252,6 @@ TEST(Rng, FillPoissonMatchesSequentialDraws) {
 TEST(Rng, FillWithZeroCountIsANoOp) {
     Rng a(99);
     Rng b(99);
-    a.fill_uniform(nullptr, 0);
     a.fill_poisson(nullptr, nullptr, 0);
     EXPECT_EQ(a.uniform(), b.uniform());
 }

@@ -96,18 +96,6 @@ TEST(SplittingRateInterval, DividesThroughByExposure) {
     EXPECT_THROW(splitting_rate_interval(est, 0.0), std::invalid_argument);
 }
 
-TEST(LevelSchedule, EvenSpacingWithExactEndpoints) {
-    const std::vector<double> levels = level_schedule(10.0, 50.0, 5);
-    ASSERT_EQ(levels.size(), 5u);
-    EXPECT_DOUBLE_EQ(levels[0], 10.0);
-    EXPECT_DOUBLE_EQ(levels[1], 20.0);
-    EXPECT_DOUBLE_EQ(levels[2], 30.0);
-    EXPECT_DOUBLE_EQ(levels[3], 40.0);
-    EXPECT_DOUBLE_EQ(levels[4], 50.0);
-    EXPECT_THROW(level_schedule(1.0, 2.0, 1), std::invalid_argument);
-    EXPECT_THROW(level_schedule(2.0, 1.0, 3), std::invalid_argument);
-}
-
 // The Bonferroni composition must be conservative: simulate many splitting
 // campaigns on a known two-level Bernoulli cascade and check empirical
 // coverage of the true product probability meets the nominal level. This
