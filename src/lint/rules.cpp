@@ -3,8 +3,6 @@
 #include <array>
 #include <algorithm>
 
-#include "lint/rules_scope.h"
-#include "lint/scope.h"
 #include "lint/suppression.h"
 
 namespace qrn::lint {
@@ -315,6 +313,156 @@ void check_throw_message(const FileContext& c, std::vector<Finding>& out) {
     }
 }
 
+// ---- marker-comment regions (qrn:hotloop, qrn:dispatcher) --------------
+
+struct MarkerRegion {
+    int begin_line;
+    int end_line;
+};
+
+/// Parses `qrn:<name>(begin)` / `qrn:<name>(end)` comment pairs; an
+/// unbalanced marker is itself a finding under `rule` (a region must not
+/// silently stop being checked).
+[[nodiscard]] std::vector<MarkerRegion> marker_regions(
+    const FileContext& c, std::string_view name, const char* rule,
+    std::vector<Finding>& out) {
+    const std::string begin_marker = "qrn:" + std::string(name) + "(begin)";
+    const std::string end_marker = "qrn:" + std::string(name) + "(end)";
+    std::vector<MarkerRegion> regions;
+    int open_line = -1;
+    for (const Token& t : c.tokens) {
+        if (t.kind != TokKind::Comment) continue;
+        if (t.text.find(begin_marker) != std::string::npos) {
+            if (open_line >= 0) {
+                out.push_back({c.path, t.line, rule,
+                               "nested " + begin_marker +
+                                   "; close the region opened on line " +
+                                   std::to_string(open_line) + " first"});
+            } else {
+                open_line = t.line;
+            }
+        } else if (t.text.find(end_marker) != std::string::npos) {
+            if (open_line < 0) {
+                out.push_back({c.path, t.line, rule,
+                               end_marker + " without a matching " +
+                                   begin_marker});
+            } else {
+                regions.push_back({open_line, t.line});
+                open_line = -1;
+            }
+        }
+    }
+    if (open_line >= 0) {
+        out.push_back({c.path, open_line, rule,
+                       begin_marker + " never closed with " + end_marker});
+    }
+    return regions;
+}
+
+[[nodiscard]] bool inside(const std::vector<MarkerRegion>& regions, int line) {
+    return std::any_of(regions.begin(), regions.end(), [line](const MarkerRegion& r) {
+        return line > r.begin_line && line < r.end_line;
+    });
+}
+
+// ---- hotloop-alloc -----------------------------------------------------
+
+constexpr std::array<std::string_view, 10> kAllocatingContainers{
+    "vector",        "string",        "deque",        "list",
+    "map",           "set",           "unordered_map", "unordered_set",
+    "ostringstream", "stringstream"};
+
+/// The qrn:hotloop markers bracket a loop body: everything between them
+/// runs once per iteration, so an owning std container declared there, or
+/// a make_unique/make_shared, allocates per iteration. A scratch buffer
+/// that must be reused goes above the begin marker.
+void check_hotloop_alloc(const FileContext& c, std::vector<Finding>& out) {
+    const std::vector<MarkerRegion> regions =
+        marker_regions(c, "hotloop", "hotloop-alloc", out);
+    if (regions.empty()) return;
+    for (std::size_t ci = 0; ci < c.code.size(); ++ci) {
+        const Token& t = tok(c, ci);
+        if (t.kind != TokKind::Identifier || !inside(regions, t.line)) continue;
+        if (t.text == "make_unique" || t.text == "make_shared") {
+            out.push_back({c.path, t.line, "hotloop-alloc",
+                           "'" + t.text +
+                               "' allocates on every iteration of a "
+                               "qrn:hotloop region; hoist the object into a "
+                               "scratch buffer reused across iterations"});
+            continue;
+        }
+        // `std::name<args> declarator`: an owning local. A '&' or '*'
+        // after the type makes it a view, and '::' a nested type.
+        if (ci < 2 || !any_of_names(kAllocatingContainers, t.text) ||
+            !text_is(c, ci - 1, "::") || !is_ident(c, ci - 2, "std")) {
+            continue;
+        }
+        std::size_t declarator = ci + 1;
+        if (text_is(c, declarator, "<")) {
+            declarator = skip_template_args(c, declarator, c.code.size());
+        }
+        if (declarator < c.code.size() &&
+            tok(c, declarator).kind == TokKind::Identifier) {
+            out.push_back({c.path, tok(c, declarator).line, "hotloop-alloc",
+                           "local std::" + t.text +
+                               " declared inside a qrn:hotloop region "
+                               "allocates per iteration; hoist it into a "
+                               "scratch buffer reused across iterations"});
+        }
+    }
+}
+
+// ---- dispatcher-no-block -----------------------------------------------
+
+constexpr std::array<std::string_view, 21> kBlockingCalls{
+    "join",       "detach",     "sleep_for",  "sleep_until", "wait",
+    "wait_for",   "wait_until", "accept",     "connect",     "recv",
+    "send",       "poll",       "select",     "read_exact",  "write_all",
+    "wait_readable", "fopen",   "fread",      "fwrite",      "popen",
+    "system"};
+
+constexpr std::array<std::string_view, 3> kBlockingStreamTypes{
+    "ifstream", "ofstream", "fstream"};
+
+void check_dispatcher_no_block(const FileContext& c, std::vector<Finding>& out) {
+    const std::vector<MarkerRegion> regions =
+        marker_regions(c, "dispatcher", "dispatcher-no-block", out);
+    if (regions.empty()) return;
+    for (std::size_t ci = 0; ci < c.code.size(); ++ci) {
+        const Token& t = tok(c, ci);
+        if (t.kind != TokKind::Identifier || !inside(regions, t.line)) continue;
+        const bool call =
+            any_of_names(kBlockingCalls, t.text) && text_is(c, ci + 1, "(");
+        if (!call && !any_of_names(kBlockingStreamTypes, t.text)) continue;
+        out.push_back({c.path, t.line, "dispatcher-no-block",
+                       "'" + t.text +
+                           "' inside a qrn:dispatcher region blocks the "
+                           "store-append serializer; socket/file I/O, "
+                           "sleeps and joins belong to the readers or "
+                           "drain, never the dispatcher"});
+    }
+}
+
+// ---- raw-fsync ---------------------------------------------------------
+
+/// Raw fsync/fdatasync anywhere but the store's sync wrapper is a
+/// durability bypass: bytes the wrappers never see are bytes the
+/// crash-recovery argument cannot account for.
+void check_raw_fsync(const FileContext& c, std::vector<Finding>& out) {
+    if (c.path == "src/store/sync.cpp") return;
+    for (std::size_t ci = 0; ci < c.code.size(); ++ci) {
+        const Token& t = tok(c, ci);
+        if (t.kind == TokKind::Identifier &&
+            (t.text == "fsync" || t.text == "fdatasync")) {
+            out.push_back({c.path, t.line, "raw-fsync",
+                           "raw '" + t.text +
+                               "' outside src/store/sync.cpp bypasses the "
+                               "checked sync wrappers "
+                               "(store::sync_file/sync_directory)"});
+        }
+    }
+}
+
 }  // namespace
 
 FileContext make_context(std::string path, std::string_view src) {
@@ -329,7 +477,6 @@ FileContext make_context(std::string path, std::string_view src) {
     for (std::size_t i = 0; i < ctx.tokens.size(); ++i) {
         if (ctx.tokens[i].kind != TokKind::Comment) ctx.code.push_back(i);
     }
-    ctx.pp_lines = preprocessor_lines(src);
     return ctx;
 }
 
@@ -372,33 +519,18 @@ const std::vector<Rule>& rules() {
         r.push_back(Rule{"hotloop-alloc",
                      "per-iteration heap allocation (owning std container "
                      "declaration, make_unique/make_shared) inside a "
-                     "qrn:hotloop(begin)/(end) region - scope-aware: "
-                     "buffers hoisted before the loop are clean; "
-                     "unbalanced markers",
-                     check_hotloop_alloc_scoped});
-        r.push_back(Rule{"guarded-by",
-                     "a member annotated '// qrn:guarded_by(mu_)' touched "
-                     "with no lock_guard/unique_lock on that mutex in scope",
-                     check_guarded_by});
-        r.push_back(Rule{"guard-annotation",
-                     "malformed qrn:guarded_by/qrn:lock_order annotation, "
-                     "or one naming a nonexistent member or non-mutex",
-                     check_guard_annotation});
-        r.push_back(Rule{"lock-order",
-                     "acquiring a mutex against the declared "
-                     "'// qrn:lock_order(outer < inner)' hierarchy, or "
-                     "re-acquiring one already held",
-                     check_lock_order});
+                     "qrn:hotloop(begin)/(end) region, which brackets a "
+                     "loop body; unbalanced markers",
+                     check_hotloop_alloc});
         r.push_back(Rule{"dispatcher-no-block",
                      "blocking call (socket/file I/O, sleep, join) inside "
                      "a qrn:dispatcher(begin)/(end) region; unbalanced "
                      "markers",
                      check_dispatcher_no_block});
-        r.push_back(Rule{"unchecked-seal",
-                     "discarded result of ShardWriter::seal, "
-                     "BoundedQueue::try_push or tools::parse_*; raw fsync "
-                     "outside the store's sync wrappers",
-                     check_unchecked_seal});
+        r.push_back(Rule{"raw-fsync",
+                     "fsync/fdatasync outside the store's sync wrappers "
+                     "(src/store/sync.cpp)",
+                     check_raw_fsync});
         r.push_back(Rule{kSuppressionHygieneRule,
                      "malformed 'qrn-lint: allow(...)' comment: no reason, "
                      "unknown rule id (never suppressible)",

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -17,8 +16,6 @@
 #include "lint/tokenizer.h"
 
 namespace qrn::lint {
-
-struct SemanticModel;  // decls.h; built lazily by semantics(ctx)
 
 struct FileContext {
     /// Project-relative path with '/' separators (e.g. "src/qrn/json.cpp");
@@ -30,12 +27,6 @@ struct FileContext {
     /// Indices into `tokens` of the non-comment tokens, in order; rules
     /// match identifier/punctuator sequences on this view.
     std::vector<std::size_t> code;
-    /// Lines belonging to preprocessor directives (continuations
-    /// included); the scope layer masks these out of structural analysis.
-    std::set<int> pp_lines;
-    /// Scope/declaration model, built on first use by semantics(ctx) and
-    /// shared by every scope-aware rule on this file.
-    mutable std::shared_ptr<const SemanticModel> sem;
 };
 
 /// Builds a FileContext from source text (tokenizes and classifies).

@@ -10,21 +10,17 @@
 #include <csignal>
 #include <cstring>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "exec/guarded.h"
 #include "obs/metrics.h"
 #include "sched/ready_queue.h"
 #include "store/campaign_store.h"
 #include "store/lease.h"
 #include "store/store.h"
-
-// Lock order between the lease board's bookkeeping and the shared stats:
-// the renewal thread bumps stats while already inside the board.
-// qrn:lock_order(mutex_ < stats_mutex_)
 
 namespace qrn::sched {
 
@@ -60,13 +56,8 @@ void declare_sched_metrics() {
 /// a coordinator that actually died (or stalled past the TTL).
 class LeaseBoard {
 public:
-    LeaseBoard(std::string dir, std::string owner, std::uint64_t ttl_ms,
-               CoordinatorStats& stats, std::mutex& stats_mutex)
-        : dir_(std::move(dir)),
-          owner_(std::move(owner)),
-          ttl_ms_(ttl_ms),
-          stats_(stats),
-          stats_mutex_(stats_mutex) {}
+    LeaseBoard(std::string dir, std::string owner, std::uint64_t ttl_ms)
+        : dir_(std::move(dir)), owner_(std::move(owner)), ttl_ms_(ttl_ms) {}
 
     ~LeaseBoard() { stop(); }
 
@@ -80,51 +71,44 @@ public:
     /// Registers a lease this coordinator now holds (just acquired or
     /// stolen) so the renewal thread keeps it fresh.
     void track(const std::string& node, std::uint64_t generation) {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        held_[node] = generation;
+        state_.lock()->held[node] = generation;
     }
 
     /// Stops renewing and removes the node's lease file.
     void release(const std::string& node) {
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            held_.erase(node);
-        }
+        state_.lock()->held.erase(node);
         store::release_lease(dir_, node);
     }
 
-    void stop() {
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            if (stop_) return;
-            stop_ = true;
-        }
+    /// Stops and joins the renewal thread; returns how many lease renewals
+    /// it wrote over the board's life.
+    std::uint64_t stop() {
+        state_.lock()->stop = true;
         wake_.notify_all();
         if (renewer_.joinable()) renewer_.join();
+        return state_.lock()->renewed;
     }
 
 private:
+    struct State {
+        std::map<std::string, std::uint64_t> held;
+        bool stop = false;
+        std::uint64_t renewed = 0;
+    };
+
     void renew_loop() {
-        std::unique_lock<std::mutex> lock(mutex_);
+        auto state = state_.lock();
         const auto period =
             std::chrono::milliseconds(std::max<std::uint64_t>(1, ttl_ms_ / 3));
-        while (!stop_) {
-            wake_.wait_for(lock, period);
-            if (stop_) break;
-            std::uint64_t renewed = 0;
-            for (auto& [node, generation] : held_) {
+        while (!state->stop) {
+            state.wait_for(wake_, period);
+            if (state->stop) break;
+            for (auto& [node, generation] : state->held) {
                 ++generation;
                 store::overwrite_lease(
                     dir_, store::Lease{node, owner_, store::lease_now_ms(),
                                        ttl_ms_, generation});
-                ++renewed;
-            }
-            if (renewed != 0) {
-                const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-                stats_.leases_renewed += renewed;
-                if (obs::enabled()) {
-                    obs::add_counter("sched.leases_renewed", renewed);
-                }
+                ++state->renewed;
             }
         }
     }
@@ -132,15 +116,9 @@ private:
     const std::string dir_;
     const std::string owner_;
     const std::uint64_t ttl_ms_;
-    CoordinatorStats& stats_;
-    std::mutex& stats_mutex_;
 
-    std::mutex mutex_;
+    exec::Guarded<State> state_;
     std::condition_variable wake_;
-    // qrn:guarded_by(mutex_)
-    std::map<std::string, std::uint64_t> held_;
-    // qrn:guarded_by(mutex_)
-    bool stop_ = false;
     std::thread renewer_;
 };
 
@@ -295,7 +273,6 @@ CoordinatorStats run_coordinator(const CampaignPlan& plan, const Dag& dag,
     const std::string owner = "coord:" + std::to_string(::getpid());
 
     CoordinatorStats stats;
-    std::mutex stats_mutex;
     stats.nodes_total = plan.fleets;
     if (obs::enabled()) obs::add_counter("sched.nodes_total", plan.fleets);
 
@@ -339,8 +316,16 @@ CoordinatorStats run_coordinator(const CampaignPlan& plan, const Dag& dag,
     using SignalHandler = void (*)(int);
     const SignalHandler prior_sigpipe = std::signal(SIGPIPE, SIG_IGN);
 
-    LeaseBoard board(leases, owner, config.lease_ttl_ms, stats, stats_mutex);
+    LeaseBoard board(leases, owner, config.lease_ttl_ms);
     board.start();
+    // The renewal count is the board's own; it is read once the renewer
+    // has been joined.
+    const auto stop_board = [&] {
+        stats.leases_renewed = board.stop();
+        if (obs::enabled()) {
+            obs::add_counter("sched.leases_renewed", stats.leases_renewed);
+        }
+    };
 
     const ExecSpec spec(config);
     std::vector<WorkerProc> workers(config.workers);
@@ -531,13 +516,13 @@ CoordinatorStats run_coordinator(const CampaignPlan& plan, const Dag& dag,
         }
     } catch (...) {
         shutdown_workers(workers);
-        board.stop();
+        stop_board();
         std::signal(SIGPIPE, prior_sigpipe);
         throw;
     }
 
     shutdown_workers(workers);
-    board.stop();
+    stop_board();
     std::signal(SIGPIPE, prior_sigpipe);
     return stats;
 }

@@ -84,8 +84,6 @@ Reply Client::verify(double confidence) {
     return roundtrip(Opcode::Verify, encode_verify_payload(confidence));
 }
 
-Reply Client::allocate() { return roundtrip(Opcode::Allocate, {}); }
-
 Client::StatusResult Client::status() {
     StatusResult out;
     static_cast<Reply&>(out) = roundtrip(Opcode::Status, {});

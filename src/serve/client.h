@@ -17,7 +17,7 @@ namespace qrn::serve {
 /// One response, decoded as far as its status allows.
 struct Reply {
     Status status = Status::Error;
-    std::string payload;            ///< Raw payload (JSON for verify/allocate).
+    std::string payload;            ///< Raw payload (JSON for verify).
     std::uint32_t retry_after_ms = 0;  ///< Busy only.
 };
 
@@ -43,7 +43,6 @@ public:
         unsigned max_attempts = 100);
 
     [[nodiscard]] Reply verify(double confidence = 0.95);
-    [[nodiscard]] Reply allocate();
 
     struct StatusResult : Reply {
         StatusReply state;

@@ -15,14 +15,15 @@
 //             shard format (store/format.h), so accepted records land in
 //             a shard bit-identically to how they travelled the wire.
 //   Verify    f64 confidence.
-//   Allocate  (empty)
 //   Status    (empty)
+//   Opcode 3 is retired (it was Allocate) and is never reused: it gets
+//   the unknown-opcode Error reply.
 //
 // Responses:
 //   Ok        Classify: u32 count, then count * (u16 leaf index, u16
 //             incident-type index; 0xFFFF = no catalog type matched).
-//             Verify/Allocate: the UTF-8 JSON text the batch CLI prints
-//             for the same inputs, byte for byte.
+//             Verify: the UTF-8 JSON text the batch CLI prints for the
+//             same inputs, byte for byte.
 //             Status: u64 records sealed, u64 records pending, u64 shards
 //             sealed, f64 sealed exposure hours, u8 draining flag.
 //   Busy      u32 suggested retry delay in milliseconds (backpressure:
@@ -46,7 +47,6 @@ namespace qrn::serve {
 enum class Opcode : std::uint8_t {
     Classify = 1,
     Verify = 2,
-    Allocate = 3,
     Status = 4,
 };
 

@@ -9,9 +9,10 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <mutex>
 #include <optional>
 #include <utility>
+
+#include "exec/guarded.h"
 
 namespace qrn::serve {
 
@@ -26,9 +27,9 @@ public:
     /// Enqueues unless the queue is full or closed; never blocks.
     [[nodiscard]] bool try_push(T item) {
         {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            if (closed_ || items_.size() >= capacity_) return false;
-            items_.push_back(std::move(item));
+            const auto state = state_.lock();
+            if (state->closed || state->items.size() >= capacity_) return false;
+            state->items.push_back(std::move(item));
         }
         ready_.notify_one();
         return true;
@@ -37,36 +38,33 @@ public:
     /// Blocks until an item arrives or the queue is closed AND drained;
     /// nullopt only in the latter case, so closing never loses items.
     [[nodiscard]] std::optional<T> pop() {
-        std::unique_lock<std::mutex> lock(mutex_);
-        ready_.wait(lock, [this] { return closed_ || !items_.empty(); });
-        if (items_.empty()) return std::nullopt;
-        T item = std::move(items_.front());
-        items_.pop_front();
+        auto state = state_.lock();
+        state.wait(ready_, [&state] { return state->closed || !state->items.empty(); });
+        if (state->items.empty()) return std::nullopt;
+        T item = std::move(state->items.front());
+        state->items.pop_front();
         return item;
     }
 
     /// Rejects future pushes; pop() keeps serving what is already queued.
     void close() {
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            closed_ = true;
-        }
+        state_.lock()->closed = true;
         ready_.notify_all();
     }
 
-    [[nodiscard]] std::size_t size() const {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        return items_.size();
-    }
+    [[nodiscard]] std::size_t size() const { return state_.lock()->items.size(); }
 
     [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
 private:
+    struct State {
+        std::deque<T> items;
+        bool closed = false;
+    };
+
     const std::size_t capacity_;
-    mutable std::mutex mutex_;
+    mutable exec::Guarded<State> state_;
     std::condition_variable ready_;
-    std::deque<T> items_;    // qrn:guarded_by(mutex_)
-    bool closed_ = false;    // qrn:guarded_by(mutex_)
 };
 
 }  // namespace qrn::serve

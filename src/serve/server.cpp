@@ -1,5 +1,6 @@
 #include "serve/server.h"
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstring>
 #include <utility>
@@ -11,26 +12,18 @@
 
 namespace qrn::serve {
 
-// Server::readers_ is declared in server.h, so its attached annotation
-// there is invisible to a per-file lint pass over this translation unit;
-// the file-wide form re-states the contract where the accesses live.
-// qrn:guarded_by(readers_, readers_mutex_)
-//
-// The two locks in this file never nest today; the declared order keeps
-// it that way: a reader-list holder may take a rendezvous lock, never
-// the reverse.
-// qrn:lock_order(readers_mutex_ < mutex)
-
 /// Reply rendezvous between the dispatcher and the reader that owns the
 /// connection. Shared ownership: the reader may abandon the wait only by
 /// process death, but the block must outlive whichever side finishes
 /// last.
 struct Server::Pending {
-    std::mutex mutex;
+    struct Reply {
+        bool done = false;
+        Status status = Status::Error;
+        std::string payload;
+    };
+    exec::Guarded<Reply> reply;
     std::condition_variable cv;
-    bool done = false;            // qrn:guarded_by(mutex)
-    Status status = Status::Error;  // qrn:guarded_by(mutex)
-    std::string payload;          // qrn:guarded_by(mutex)
 };
 
 /// One decoded request travelling reader -> dispatcher.
@@ -86,14 +79,11 @@ void Server::drain() {
         ::unlink(config_.socket_path.c_str());
     }
     // Readers finish their in-flight request (its reply comes from the
-    // still-running dispatcher) and exit at the next poll tick.
-    {
-        const std::lock_guard<std::mutex> lock(readers_mutex_);
-        for (auto& reader : readers_) {
-            if (reader.joinable()) reader.join();
-        }
-        readers_.clear();
-    }
+    // still-running dispatcher) and exit at the next poll tick. The accept
+    // thread is gone, so no reader is added any more; a finishing reader
+    // still takes the list's lock, so the joins run outside it.
+    std::vector<std::thread> readers = std::exchange(readers_.lock()->running, {});
+    for (std::thread& reader : readers) reader.join();
     // Nothing can enqueue any more; flush what is queued, then seal.
     queue_->close();
     if (dispatch_thread_.joinable()) dispatch_thread_.join();
@@ -111,10 +101,31 @@ void Server::accept_loop() {
         }
         if (!conn) continue;
         if (obs::enabled()) obs::add_counter("serve.connections", 1);
-        const std::lock_guard<std::mutex> lock(readers_mutex_);
-        readers_.emplace_back(
-            [this, sock = std::move(*conn)]() mutable { reader_loop(std::move(sock)); });
+        join_finished_readers();
+        // The new reader files itself as finished under the same lock, so
+        // it is always listed as running first.
+        readers_.lock()->running.emplace_back(
+            [this, sock = std::move(*conn)]() mutable {
+                reader_loop(std::move(sock));
+                readers_.lock()->finished.push_back(std::this_thread::get_id());
+            });
     }
+}
+
+void Server::join_finished_readers() {
+    std::vector<std::thread> finished;
+    {
+        const auto readers = readers_.lock();
+        auto& running = readers->running;
+        for (const std::thread::id id : readers->finished) {
+            const auto at = std::find_if(running.begin(), running.end(),
+                                         [id](const std::thread& t) { return t.get_id() == id; });
+            finished.push_back(std::move(*at));
+            running.erase(at);
+        }
+        readers->finished.clear();
+    }
+    for (std::thread& reader : finished) reader.join();
 }
 
 void Server::reader_loop(Socket socket) {
@@ -156,7 +167,6 @@ void Server::reader_loop(Socket socket) {
                     case Opcode::Verify:
                         job.confidence = decode_verify_payload(payload);
                         break;
-                    case Opcode::Allocate:
                     case Opcode::Status:
                         break;
                     default:
@@ -185,10 +195,10 @@ void Server::reader_loop(Socket socket) {
             if (obs::enabled()) {
                 obs::record_max("serve.queue_depth_max", queue_->size());
             }
-            std::unique_lock<std::mutex> lock(pending->mutex);
-            pending->cv.wait(lock, [&] { return pending->done; });
+            auto reply = pending->reply.lock();
+            reply.wait(pending->cv, [&reply] { return reply->done; });
             socket.write_all(encode_frame(
-                static_cast<std::uint8_t>(pending->status), pending->payload));
+                static_cast<std::uint8_t>(reply->status), reply->payload));
         } catch (const SocketError&) {
             return;  // peer vanished; its queued work still completes
         }
@@ -211,9 +221,6 @@ void Server::dispatch_loop() {
                 case Opcode::Verify:
                     payload = service_->verify_json(job->confidence);
                     break;
-                case Opcode::Allocate:
-                    payload = service_->allocate_json();
-                    break;
                 case Opcode::Status: {
                     StatusReply reply = service_->status();
                     reply.draining = draining();
@@ -226,10 +233,10 @@ void Server::dispatch_loop() {
             payload = error.what();
         }
         {
-            const std::lock_guard<std::mutex> lock(job->pending->mutex);
-            job->pending->status = status;
-            job->pending->payload = std::move(payload);
-            job->pending->done = true;
+            const auto reply = job->pending->reply.lock();
+            reply->status = status;
+            reply->payload = std::move(payload);
+            reply->done = true;
             job->pending->cv.notify_one();
         }
     }

@@ -28,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "exec/guarded.h"
 #include "serve/protocol.h"
 #include "serve/queue.h"
 #include "serve/service.h"
@@ -75,19 +76,29 @@ private:
     struct Pending;
     struct Job;
 
+    /// One thread per accepted connection. A reader files its own id
+    /// under `finished` as it exits; the accept loop joins those before
+    /// it starts the next reader, and drain() joins the rest.
+    struct Readers {
+        std::vector<std::thread> running;
+        std::vector<std::thread::id> finished;
+    };
+
     void accept_loop();
     void reader_loop(Socket socket);
     void dispatch_loop();
+    /// Joins the readers that have filed themselves as finished, without
+    /// holding the lock they file under.
+    void join_finished_readers();
 
     std::unique_ptr<Service> service_;
     ServerConfig config_;
     Socket listener_;
     std::unique_ptr<BoundedQueue<Job>> queue_;
+    exec::Guarded<Readers> readers_;
+    std::atomic<bool> draining_{false};
     std::thread accept_thread_;
     std::thread dispatch_thread_;
-    std::mutex readers_mutex_;
-    std::vector<std::thread> readers_;  // qrn:guarded_by(readers_mutex_)
-    std::atomic<bool> draining_{false};
     bool started_ = false;
     bool drained_ = false;
 };

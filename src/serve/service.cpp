@@ -30,7 +30,6 @@ void declare_serve_metrics() {
     obs::add_counter("serve.records_accepted", 0);
     obs::add_counter("serve.shards_sealed", 0);
     obs::add_counter("serve.requests_verify", 0);
-    obs::add_counter("serve.requests_allocate", 0);
     obs::add_counter("serve.requests_status", 0);
     obs::declare_timer("serve.batch_ns");
     obs::declare_timer("serve.seal_ns");
@@ -56,8 +55,8 @@ Service::Service(RiskNorm norm, IncidentTypeSet types, ServiceConfig config)
         leaf_names_.push_back(leaf.joined());
     }
     {
-        // Same construction as `qrn allocate`/`qrn verify`: the replies
-        // must be byte-identical to the batch CLI on the same inputs.
+        // Same construction as `qrn verify`: the reply must be
+        // byte-identical to the batch CLI on the same inputs.
         const InjuryRiskModel model;
         const auto matrix =
             ContributionMatrix::from_injury_model(norm_, types_, model, {0.6, 0.4});
@@ -216,11 +215,6 @@ std::string Service::verify_json(double confidence) {
     const auto report =
         verify_against_evidence(*problem_, *allocation_, evidence, confidence);
     return to_json(report).dump(2) + "\n";
-}
-
-std::string Service::allocate_json() const {
-    if (obs::enabled()) obs::add_counter("serve.requests_allocate", 1);
-    return to_json(*allocation_, types_).dump(2) + "\n";
 }
 
 StatusReply Service::status() const {

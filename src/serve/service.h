@@ -50,8 +50,8 @@ struct ServiceConfig {
 class Service {
 public:
     /// Opens (and heals) the store, rebuilds the sealed-prefix evidence
-    /// fold, and precomputes the allocation the verify/allocate replies
-    /// are derived from. Throws StoreError on unreadable/corrupt shards.
+    /// fold, and precomputes the allocation the verify replies are
+    /// derived from. Throws StoreError on unreadable/corrupt shards.
     Service(RiskNorm norm, IncidentTypeSet types, ServiceConfig config);
     ~Service();
 
@@ -69,10 +69,6 @@ public:
     /// exactly as `qrn verify` prints it (same JSON, same trailing
     /// newline). Throws ServeError when no sealed evidence exists yet.
     [[nodiscard]] std::string verify_json(double confidence);
-
-    /// The allocation snapshot, serialized exactly as `qrn allocate`
-    /// prints it.
-    [[nodiscard]] std::string allocate_json() const;
 
     [[nodiscard]] StatusReply status() const;
 

@@ -38,8 +38,8 @@ struct ShardInfo {
 /// [[nodiscard]]) forces every call site to face the evidence that the
 /// shard reached its final name: the record count the footer claims and
 /// the bytes that were synced. Callers that track their own counts
-/// cross-check against `records`; qrn-lint's unchecked-seal rule flags
-/// any site that drops the receipt.
+/// cross-check against `records`; a site that drops the receipt fails the
+/// -Werror build.
 struct SealReceipt {
     std::uint64_t records = 0;     ///< records the sealed footer claims
     std::uint64_t file_bytes = 0;  ///< bytes written, header to footer
@@ -65,8 +65,8 @@ public:
 
     /// Flushes, writes the sealed footer and atomically renames the file
     /// onto its final path. Throws StoreError(Io) when any step fails.
-    /// Returns the durability receipt; discarding it is a lint finding
-    /// (unchecked-seal) as well as a compiler warning.
+    /// Returns the durability receipt; discarding it is a compiler
+    /// warning, and an error in the -Werror build.
     [[nodiscard]] SealReceipt seal(const ShardTotals& totals);
 
 private:
@@ -141,6 +141,6 @@ void write_shard(const std::string& path, std::uint64_t cache_key,
 ShardInfo read_shard(const std::string& path, sim::IncidentLog& out);
 
 /// Full integrity scan without materializing records.
-ShardInfo verify_shard(const std::string& path);
+[[nodiscard]] ShardInfo verify_shard(const std::string& path);
 
 }  // namespace qrn::store

@@ -5,6 +5,7 @@
 #include <array>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -132,10 +133,21 @@ TEST(LintCli, ListRulesDocumentsEveryShippedRule) {
     for (const char* id :
          {"raw-parse", "ambient-rng", "naked-new", "thread-discipline",
           "rng-stream", "using-namespace-header", "iostream-in-lib",
-          "throw-message", "hotloop-alloc", "guarded-by", "guard-annotation",
-          "lock-order", "dispatcher-no-block", "unchecked-seal",
-          "suppression-hygiene"}) {
+          "raw-file-io", "throw-message", "hotloop-alloc",
+          "dispatcher-no-block", "raw-fsync", "suppression-hygiene"}) {
         EXPECT_NE(result.output.find(id), std::string::npos) << id;
+    }
+    // One unindented id line per rule, and nothing else: the rules the
+    // compiler now enforces are gone.
+    std::istringstream lines(result.output);
+    std::size_t rule_count = 0;
+    for (std::string line; std::getline(lines, line);) {
+        if (!line.empty() && line[0] != ' ') ++rule_count;
+    }
+    EXPECT_EQ(rule_count, 13u);
+    for (const char* retired :
+         {"guarded-by", "guard-annotation", "lock-order", "unchecked-seal"}) {
+        EXPECT_EQ(result.output.find(retired), std::string::npos) << retired;
     }
 }
 

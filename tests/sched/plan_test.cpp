@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mutations.h"
 #include "sched/dag.h"
 #include "sched/plan.h"
 #include "sim/campaign.h"
@@ -165,6 +166,41 @@ TEST(Plan, NonIntegerFleetIndexIsMalformed) {
         std::ofstream(plan_path(dir), std::ios::trunc) << damaged;
         EXPECT_THROW((void)read_plan(dir), SchedError) << bad;
     }
+}
+
+TEST(PlanMutation, EveryMutantReadsOrIsASchedError) {
+    // A real plan: the one the coordinator writes for a three-fleet
+    // campaign. A worker reads it, rebuilds the config and checks the keys.
+    const auto dir = plan_dir_for("mutation");
+    const std::string digest = campaign_inputs_digest();
+    write_plan(dir, make_plan("nominal", "urban", example_config(), digest));
+    std::string plan_text;
+    {
+        std::ifstream in(plan_path(dir));
+        plan_text.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    }
+
+    std::size_t accepted = 0;
+    std::vector<std::string> failures;
+    for (const std::string& mutant : mutation::mutants(plan_text, 0x706c616e, 150)) {
+        std::ofstream(plan_path(dir), std::ios::binary | std::ios::trunc) << mutant;
+        try {
+            const auto plan = read_plan(dir);
+            if (!plan) {
+                failures.push_back("a present plan read as absent");
+                continue;
+            }
+            (void)config_from_plan(*plan);
+            verify_plan_keys(*plan, digest);
+            ++accepted;
+        } catch (const SchedError&) {
+        } catch (const std::exception& error) {
+            failures.push_back(error.what());
+        }
+    }
+    EXPECT_GT(accepted, 0u);
+    EXPECT_EQ(failures.size(), 0u)
+        << "first: " << (failures.empty() ? std::string() : failures.front());
 }
 
 TEST(Plan, KeySkewIsRefused) {

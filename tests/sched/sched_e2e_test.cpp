@@ -304,6 +304,29 @@ TEST(SchedE2e, StandaloneWorkerCountsAStealOnlyAsASteal) {
     EXPECT_EQ(counters["sched.leases_stolen"], 1.0);
 }
 
+TEST(SchedE2e, CoordinatorCountsRenewalsAndReleasesEveryLease) {
+    // A 3 ms TTL renews every millisecond, so every held lease is renewed
+    // while its worker process starts; the count reaches the manifest
+    // through CoordinatorStats once the renewal thread has been joined.
+    const auto scratch = scratch_for("renewals");
+    const std::string store = scratch + "/dist";
+    const std::string metrics = scratch + "/coord-metrics.json";
+    auto args = distributed_args(store, "2");
+    for (const char* arg : {"--sched-ttl-ms", "3", "--metrics", metrics.c_str()}) {
+        args.push_back(arg);
+    }
+    const RunResult dist = run_qrn(scratch, args);
+    ASSERT_EQ(dist.exit_code, 0) << dist.err;
+    std::map<std::string, double> counters;
+    const json::Value doc = json::parse(read_file_bytes(metrics));
+    for (const json::Value& counter : doc.at("counters").as_array()) {
+        counters[counter.at("name").as_string()] = counter.at("value").as_number();
+    }
+    EXPECT_GT(counters["sched.leases_renewed"], 0.0);
+    EXPECT_EQ(counters["sched.leases_acquired"], 4.0);
+    EXPECT_TRUE(std::filesystem::is_empty(sched::lease_dir(store)));
+}
+
 TEST(SchedE2e, WorkerWithoutAPlanExitsIo) {
     const auto scratch = scratch_for("no_plan");
     const RunResult worker = run_qrn(

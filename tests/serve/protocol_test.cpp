@@ -3,14 +3,17 @@
 // backpressure contract holds.
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "mutations.h"
 #include "serve/protocol.h"
 #include "serve/queue.h"
+#include "serve/service.h"
 #include "serve/stream.h"
 
 namespace {
@@ -126,6 +129,59 @@ TEST(StatusReplyCodec, RoundTripsEveryField) {
     status.draining = true;
     EXPECT_EQ(decode_status_reply(encode_status_reply(status)), status);
     EXPECT_THROW(decode_status_reply("tiny"), ProtocolError);
+}
+
+// ---- mutated payloads: decoded or a ProtocolError, nothing else --------
+
+/// Decodes every mutant of `valid`; returns how many decoded, and records
+/// every exception that is not a ProtocolError.
+template <typename Decode>
+std::size_t decode_mutants(const std::string& valid, std::uint64_t seed, Decode decode,
+                           std::vector<std::string>& failures) {
+    std::size_t decoded = 0;
+    for (const std::string& mutant : mutation::mutants(valid, seed, 500)) {
+        try {
+            (void)decode(mutant);
+            ++decoded;
+        } catch (const ProtocolError&) {
+        } catch (const std::exception& error) {
+            failures.push_back(error.what());
+        }
+    }
+    return decoded;
+}
+
+TEST(PayloadMutation, ClassifyPayloadsDecodeOrAreProtocolErrors) {
+    // A real request: the load generator's canonical stream, 64 records.
+    const std::string valid = encode_classify_payload(2.5, sample_batch(64));
+    std::vector<std::string> failures;
+    EXPECT_GT(decode_mutants(valid, 0x636c6173, decode_classify_payload, failures), 0u);
+    EXPECT_EQ(failures.size(), 0u)
+        << "first: " << (failures.empty() ? std::string() : failures.front());
+}
+
+TEST(PayloadMutation, StatusRepliesDecodeOrAreProtocolErrors) {
+    // A real reply: the status a daemon reports after one batch rolled a
+    // shard.
+    ServiceConfig config;
+    config.store_dir = ::testing::TempDir() + "qrn_payload_mutation";
+    config.shard_roll = 48;
+    std::filesystem::remove_all(config.store_dir);
+    std::string valid;
+    {
+        Service service(RiskNorm::paper_example(), IncidentTypeSet::paper_vru_example(),
+                        config);
+        ClassifyRequest request;
+        request.exposure_hours = 2.5;
+        request.incidents = sample_batch(64);
+        (void)service.classify_batch(request);
+        valid = encode_status_reply(service.status());
+    }
+    std::filesystem::remove_all(config.store_dir);
+    std::vector<std::string> failures;
+    EXPECT_GT(decode_mutants(valid, 0x73746174, decode_status_reply, failures), 0u);
+    EXPECT_EQ(failures.size(), 0u)
+        << "first: " << (failures.empty() ? std::string() : failures.front());
 }
 
 // ---- BoundedQueue: the backpressure contract ---------------------------

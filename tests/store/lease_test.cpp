@@ -5,10 +5,13 @@
 // pinned here rather than discovered in a flaky campaign.
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "mutations.h"
 #include "store/format.h"
 #include "store/lease.h"
 
@@ -128,6 +131,47 @@ TEST(Lease, NonIntegerNumbersReadAsMalformed) {
             EXPECT_EQ(lease->owner, "<malformed>") << field << " = " << bad;
         }
     }
+}
+
+TEST(LeaseMutation, EveryMutantReadsAsALeaseOrMalformedAndClaimNeverThrows) {
+    // A real lease: the file claim_lease publishes for a coordinator.
+    const auto dir = lease_dir_for("mutation");
+    const std::string node = "fleet-00003";
+    ASSERT_TRUE(store::claim_lease(dir, node, "coord:4242", 3'600'000).has_value());
+    const std::string path = store::lease_path(dir, node);
+    std::string lease;
+    {
+        std::ifstream in(path, std::ios::binary);
+        lease.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    }
+
+    std::size_t malformed = 0;
+    std::vector<std::string> failures;
+    for (const std::string& mutant : mutation::mutants(lease, 0x6c65617365, 60)) {
+        std::ofstream(path, std::ios::binary | std::ios::trunc) << mutant;
+        try {
+            const auto read = store::read_lease(dir, node);
+            if (!read) {
+                failures.push_back("a present lease file read as absent");
+                continue;
+            }
+            const bool damaged = read->owner == "<malformed>";
+            if (damaged && (read->acquired_ms != 0 || read->ttl_ms != 0 ||
+                            read->generation != 0)) {
+                failures.push_back("a malformed lease kept decoded fields");
+            }
+            malformed += damaged ? 1 : 0;
+            const auto claim = store::claim_lease(dir, node, "thief", 1000);
+            if (damaged && !(claim && claim->stolen)) {
+                failures.push_back("a malformed lease was not stolen");
+            }
+        } catch (const std::exception& error) {
+            failures.push_back(error.what());
+        }
+    }
+    EXPECT_GT(malformed, 0u);
+    EXPECT_EQ(failures.size(), 0u)
+        << "first: " << (failures.empty() ? std::string() : failures.front());
 }
 
 TEST(Lease, ClaimAcquiresStealsOrDefers) {

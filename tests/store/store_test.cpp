@@ -16,10 +16,12 @@
 
 #include <gtest/gtest.h>
 
+#include "mutations.h"
 #include "qrn/incident_type.h"
 #include "qrn/serialize.h"
 #include "sim/fleet.h"
 #include "store/cache_key.h"
+#include "store/campaign_store.h"
 #include "store/format.h"
 
 namespace qrn::store {
@@ -189,6 +191,39 @@ TEST(Store, RejectsManifestNumbersThatAreNotCounts) {
             }
         }
     }
+}
+
+TEST(ManifestMutation, EveryMutantLoadsOrIsAStoreError) {
+    // A real manifest: the one a three-fleet campaign leaves behind.
+    const std::string dir = fresh_dir("manifest_mutation");
+    std::string manifest;
+    {
+        Store store(dir);
+        sim::CampaignConfig config;
+        config.base.seed = 7;
+        config.fleets = 3;
+        config.hours_per_fleet = 20.0;
+        (void)run_campaign_with_store(config, store, "incident-types-digest-v1");
+        std::ifstream in(store.manifest_path(), std::ios::binary);
+        manifest.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    }
+    ASSERT_EQ(Store(dir).entries().size(), 3u);
+
+    std::size_t loaded = 0;
+    std::vector<std::string> failures;
+    for (const std::string& mutant : mutation::mutants(manifest, 0x6d616e6966657374, 300)) {
+        write_text(dir + "/manifest.json", mutant);
+        try {
+            loaded += Store(dir).manifest_found() ? 1 : 0;
+        } catch (const StoreError&) {
+        } catch (const std::exception& error) {
+            failures.push_back(error.what());
+        }
+    }
+    EXPECT_GT(loaded, 0u);
+    EXPECT_EQ(failures.size(), 0u)
+        << "first: " << (failures.empty() ? std::string() : failures.front());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Store, StrayTempFilesAreReportedSorted) {
