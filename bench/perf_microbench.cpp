@@ -455,7 +455,7 @@ void BM_SchedDispatch(benchmark::State& state) {
         sched::ReadyQueue ready;
         for (const sched::PlanNode& node : plan.nodes) {
             const auto i = *dag.index_of(sched::plan_node_id(node.fleet_index));
-            ready.push(sched::ReadyItem{i, dag.level(i), dag.node(i).id});
+            ready.push(sched::ReadyItem{i, dag.level(i)});
         }
         while (!ready.empty()) {
             benchmark::DoNotOptimize(ready.pop());

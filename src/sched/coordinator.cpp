@@ -361,13 +361,13 @@ CoordinatorStats run_coordinator(const CampaignPlan& plan, const Dag& dag,
             }
             board.track(id, claim->generation);
             state[i] = NodeState::Ready;
-            ready.push(ReadyItem{i, priority[i], id});
+            ready.push(ReadyItem{i, priority[i]});
         }
     };
 
     const auto requeue = [&](std::uint64_t i) {
         state[i] = NodeState::Ready;
-        ready.push(ReadyItem{i, priority[i], plan_node_id(i)});
+        ready.push(ReadyItem{i, priority[i]});
     };
 
     const auto on_worker_death = [&](std::size_t w) {
@@ -455,7 +455,7 @@ CoordinatorStats run_coordinator(const CampaignPlan& plan, const Dag& dag,
                 for (const Assignment& pick : picks) {
                     WorkerProc& worker = workers[pick.worker];
                     if (!write_line(worker.to_child,
-                                    "run " + pick.item.id + "\n")) {
+                                    "run " + plan_node_id(pick.item.node) + "\n")) {
                         requeue(pick.item.node);
                         on_worker_death(pick.worker);
                         continue;

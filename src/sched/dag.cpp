@@ -1,41 +1,83 @@
 #include "sched/dag.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <functional>
 #include <numeric>
+#include <string_view>
 
 namespace qrn::sched {
 
 namespace {
 
-/// Kahn's ready set as an index-ordered min-heap: pop the smallest index
-/// first so the topological order is a pure function of the graph.
-class IndexHeap {
-public:
-    void push(std::size_t value) {
-        heap_.push_back(value);
-        std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
-    }
-    [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
-    std::size_t pop() {
-        std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
-        const std::size_t value = heap_.back();
-        heap_.pop_back();
-        return value;
-    }
+constexpr std::size_t kUnmarked = static_cast<std::size_t>(-1);
 
-private:
-    std::vector<std::size_t> heap_;
-};
+std::size_t id_hash(std::string_view id) noexcept {
+    return std::hash<std::string_view>{}(id);
+}
+
+/// Lays `edges` out by one endpoint (`by_source`: the edge's `from`, else
+/// its `to`) into compressed sparse rows: a stable counting sort, so each
+/// node's list keeps the order its edges were added, then one pass that
+/// drops every repeat of a (from, to) pair after its first occurrence.
+/// `seen` is scratch of one mark per node: the last list that named each
+/// node, which is all the repeat check needs because the lists are
+/// visited one at a time.
+void lay_out(const std::vector<std::pair<std::size_t, std::size_t>>& edges,
+             bool by_source, std::size_t nodes, std::vector<std::size_t>& offsets,
+             std::vector<std::size_t>& targets, std::vector<std::size_t>& seen) {
+    offsets.assign(nodes + 1, 0);
+    for (const auto& [from, to] : edges) ++offsets[(by_source ? from : to) + 1];
+    std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+    // Placing each edge advances its node's offset to the start of the
+    // next node's list.
+    targets.resize(edges.size());
+    for (const auto& [from, to] : edges) {
+        targets[offsets[by_source ? from : to]++] = by_source ? to : from;
+    }
+    seen.assign(nodes, kUnmarked);
+    std::size_t read = 0;
+    std::size_t write = 0;
+    for (std::size_t node = 0; node < nodes; ++node) {
+        const std::size_t end = offsets[node];
+        offsets[node] = write;
+        for (; read < end; ++read) {
+            const std::size_t other = targets[read];
+            if (seen[other] == node) continue;
+            seen[other] = node;
+            targets[write++] = other;
+        }
+    }
+    offsets[nodes] = write;
+    targets.resize(write);
+}
 
 }  // namespace
 
-void Dag::reserve(std::size_t nodes) {
+void Dag::reserve(std::size_t nodes, std::size_t edges) {
     nodes_.reserve(nodes);
-    ids_.reserve(nodes);
-    succs_.reserve(nodes);
-    preds_.reserve(nodes);
+    edges_.reserve(edges);
+    const std::size_t capacity = std::bit_ceil(2 * nodes);
+    if (capacity > ids_.size()) rehash(capacity);
+}
+
+std::size_t Dag::find_slot(std::string_view id) const noexcept {
+    const std::size_t mask = ids_.size() - 1;
+    for (std::size_t at = id_hash(id) & mask;; at = (at + 1) & mask) {
+        const std::size_t entry = ids_[at];
+        if (entry == 0 || nodes_[entry - 1].id == id) return at;
+    }
+}
+
+void Dag::rehash(std::size_t capacity) {
+    std::vector<std::size_t> slots(capacity, 0);
+    const std::size_t mask = capacity - 1;
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+        std::size_t at = id_hash(nodes_[i].id) & mask;
+        while (slots[at] != 0) at = (at + 1) & mask;
+        slots[at] = i + 1;
+    }
+    ids_ = std::move(slots);
 }
 
 std::size_t Dag::add_node(std::string id, double weight) {
@@ -45,12 +87,15 @@ std::size_t Dag::add_node(std::string id, double weight) {
         throw SchedError("Dag::add_node: weight of '" + id +
                          "' must be finite and >= 0");
     }
-    if (!ids_.try_emplace(id, nodes_.size()).second) {
+    if (2 * (nodes_.size() + 1) > ids_.size()) {
+        rehash(std::max<std::size_t>(16, 2 * ids_.size()));
+    }
+    const std::size_t slot = find_slot(id);
+    if (ids_[slot] != 0) {
         throw SchedError("Dag::add_node: duplicate node id '" + id + "'");
     }
     nodes_.push_back(DagNode{std::move(id), weight});
-    succs_.emplace_back();
-    preds_.emplace_back();
+    ids_[slot] = nodes_.size();
     return nodes_.size() - 1;
 }
 
@@ -64,48 +109,47 @@ void Dag::add_edge(std::size_t from, std::size_t to) {
     if (from == to) {
         throw SchedError("Dag::add_edge: self-edge on '" + nodes_[from].id + "'");
     }
-    auto& out = succs_[from];
-    auto& in = preds_[to];
-    const bool present = out.size() <= in.size()
-                             ? std::find(out.begin(), out.end(), to) != out.end()
-                             : std::find(in.begin(), in.end(), from) != in.end();
-    if (present) return;
-    out.push_back(to);
-    in.push_back(from);
-    ++edges_;
+    edges_.emplace_back(from, to);
 }
 
 std::optional<std::size_t> Dag::index_of(std::string_view id) const {
-    const auto it = ids_.find(id);
-    if (it == ids_.end()) return std::nullopt;
-    return it->second;
+    if (ids_.empty()) return std::nullopt;
+    const std::size_t entry = ids_[find_slot(id)];
+    if (entry == 0) return std::nullopt;
+    return entry - 1;
 }
 
 void Dag::build() {
     if (built_) return;
+    const std::size_t n = nodes_.size();
 
-    // Kahn with an index-ordered ready heap: deterministic topo order and
-    // cycle detection in one pass.
-    std::vector<std::size_t> indegree(nodes_.size());
-    for (std::size_t i = 0; i < nodes_.size(); ++i) indegree[i] = preds_[i].size();
-    IndexHeap ready;
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        if (indegree[i] == 0) ready.push(i);
+    // Both directions in insertion order, each repeated edge kept once.
+    std::vector<std::size_t> scratch;
+    lay_out(edges_, true, n, succs_.offsets, succs_.targets, scratch);
+    lay_out(edges_, false, n, preds_.offsets, preds_.targets, scratch);
+
+    // Kahn as a FIFO, with topo_ itself as the queue: sources in index
+    // order, then each node as its last predecessor is dequeued.
+    std::vector<std::size_t>& indegree = scratch;
+    for (std::size_t i = 0; i < n; ++i) {
+        indegree[i] = preds_.offsets[i + 1] - preds_.offsets[i];
     }
     topo_.clear();
-    topo_.reserve(nodes_.size());
-    while (!ready.empty()) {
-        const std::size_t at = ready.pop();
-        topo_.push_back(at);
-        for (const std::size_t succ : succs_[at]) {
-            if (--indegree[succ] == 0) ready.push(succ);
+    topo_.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (indegree[i] == 0) topo_.push_back(i);
+    }
+    for (std::size_t head = 0; head < topo_.size(); ++head) {
+        for (const std::size_t succ : succs_.row(topo_[head])) {
+            if (--indegree[succ] == 0) topo_.push_back(succ);
         }
     }
-    if (topo_.size() != nodes_.size()) {
-        // Every unprocessed node sits on or behind a cycle; name the
-        // smallest-id one so the diagnostic is stable.
+    if (topo_.size() != n) {
+        // Every unprocessed node sits on or behind a cycle. That set does
+        // not depend on the order Kahn took; name its smallest id so the
+        // diagnostic is stable.
         std::string worst;
-        for (std::size_t i = 0; i < nodes_.size(); ++i) {
+        for (std::size_t i = 0; i < n; ++i) {
             if (indegree[i] == 0) continue;
             if (worst.empty() || nodes_[i].id < worst) worst = nodes_[i].id;
         }
@@ -115,32 +159,25 @@ void Dag::build() {
 
     // Critical-path levels in reverse topological order: each node's level
     // is its own weight plus the heaviest successor chain.
-    levels_.assign(nodes_.size(), 0.0);
+    levels_.assign(n, 0.0);
     for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
         double below = 0.0;
-        for (const std::size_t succ : succs_[*it]) {
+        for (const std::size_t succ : succs_.row(*it)) {
             below = std::max(below, levels_[succ]);
         }
         levels_[*it] = nodes_[*it].weight + below;
     }
+    edges_ = {};
     built_ = true;
 }
 
-void Dag::require_built(const char* what) const {
-    if (!built_) {
-        throw SchedError(std::string("Dag::") + what +
-                         ": call build() before querying the frozen graph");
-    }
+void Dag::throw_unbuilt(const char* what) {
+    throw SchedError(std::string("Dag::") + what +
+                     ": call build() before querying the frozen graph");
 }
 
-double Dag::level(std::size_t i) const {
-    require_built("level");
-    return levels_.at(i);
-}
-
-const std::vector<std::size_t>& Dag::topo_order() const {
-    require_built("topo_order");
-    return topo_;
+void Dag::throw_out_of_range(std::size_t i) {
+    throw std::out_of_range("Dag: node index " + std::to_string(i) + " out of range");
 }
 
 namespace {

@@ -6,8 +6,10 @@
 // and the coordinator dispatches READY nodes in descending critical-path
 // order: the node whose remaining chain to the sink is longest goes first,
 // so stragglers on the critical path never wait behind bulk work. The
-// representation follows the artidoro scheduling exemplar (dag.h adjacency
-// + indegree, levels as longest-path-to-sink weights); the hard/soft
+// representation follows the artidoro scheduling exemplar (vertices and
+// edges accumulate, a build step freezes them, successors and
+// predecessors are read from the frozen graph, levels are
+// longest-path-to-sink weights); the hard/soft
 // budget machinery follows the ranking-dsl complexity-budget exemplar
 // (SNIPPETS.md #3): hard limits reject the plan outright (CLI exit 1),
 // soft limits warn with top-offender diagnostics.
@@ -15,12 +17,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace qrn::sched {
@@ -42,77 +44,118 @@ struct DagNode {
 };
 
 /// A directed acyclic dependency graph. add_node/add_edge accumulate,
-/// build() freezes: computes indegrees, a deterministic topological order
-/// and critical-path levels, and rejects cycles. Accessors that need the
-/// frozen form throw SchedError before build().
+/// build() freezes: it lays the edges out once in flat successor and
+/// predecessor arrays, computes a deterministic topological order and
+/// critical-path levels, and rejects cycles. Accessors that need the
+/// frozen form (edge_count, succs, preds, level, topo_order) throw
+/// SchedError before build().
 ///
-/// Construction is linear in nodes + edges for the campaign shape (one
-/// generate hub fanning out to every fleet, every fleet fanning into one
-/// aggregate hub), up to the 100003-node budget the CLI accepts.
+/// Construction and build() are linear in nodes + edges, and a built DAG
+/// holds a fixed number of heap blocks whatever its size (plus any id too
+/// long for the string's inline buffer), so the 100003-node campaign the
+/// CLI accepts compiles, and is freed, at the same cost per node as a
+/// small one.
 class Dag {
 public:
-    /// Sizes the node tables for `nodes` nodes in total, so adding them
-    /// neither reallocates nor rehashes. Optional; never changes results.
-    void reserve(std::size_t nodes);
+    /// Sizes the node table and the id index for `nodes` nodes and the
+    /// edge list for `edges` edges, so adding them neither reallocates nor
+    /// rehashes. Optional; never changes results.
+    void reserve(std::size_t nodes, std::size_t edges = 0);
 
     /// Adds a node and returns its index. Ids must be unique and
-    /// non-empty; weight must be finite and >= 0.
+    /// non-empty; weight must be finite and >= 0. A rejected node leaves
+    /// no trace.
     std::size_t add_node(std::string id, double weight = 1.0);
 
-    /// Declares "`from` must finish before `to` may start". Self-edges are
-    /// rejected; duplicate edges are stored once. The duplicate check scans
-    /// whichever of succs(from) and preds(to) is shorter (the two agree on
-    /// every edge), so wiring a hub to N nodes costs O(N), not O(N^2).
-    /// Both lists keep insertion order.
+    /// Declares "`from` must finish before `to` may start". Self-edges and
+    /// out-of-range indices are rejected at once; anything else is only
+    /// recorded. build() keeps the first occurrence of a repeated edge.
     void add_edge(std::size_t from, std::size_t to);
 
-    /// Freezes the graph. Throws SchedError naming a node on the cycle
-    /// when the edges are not acyclic. Idempotent.
+    /// Freezes the graph. Throws SchedError naming the smallest id among
+    /// the nodes on or behind a cycle when the edges are not acyclic, and
+    /// leaves the graph unbuilt. Idempotent.
     void build();
 
     [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
-    [[nodiscard]] std::size_t edge_count() const noexcept { return edges_; }
+    /// The number of distinct edges. Requires build().
+    [[nodiscard]] std::size_t edge_count() const {
+        require_built("edge_count");
+        return succs_.targets.size();
+    }
     [[nodiscard]] const DagNode& node(std::size_t i) const { return nodes_.at(i); }
     /// The index of the node named `id`: one hashed lookup, no copy of
-    /// `id`. The hash index is only ever looked up, never iterated, so
-    /// topological order and diagnostics do not depend on hashing.
+    /// `id`. Valid before and after build(). The index is only ever
+    /// looked up, never iterated, so topological order and diagnostics do
+    /// not depend on hashing.
     [[nodiscard]] std::optional<std::size_t> index_of(std::string_view id) const;
 
-    [[nodiscard]] const std::vector<std::size_t>& preds(std::size_t i) const {
-        return preds_.at(i);
+    /// Node i's distinct predecessors / successors, each in the order its
+    /// edge was first added. Require build(); the spans stay valid for
+    /// the DAG's lifetime.
+    [[nodiscard]] std::span<const std::size_t> preds(std::size_t i) const {
+        require_built("preds");
+        return preds_.row(i);
     }
-    [[nodiscard]] const std::vector<std::size_t>& succs(std::size_t i) const {
-        return succs_.at(i);
+    [[nodiscard]] std::span<const std::size_t> succs(std::size_t i) const {
+        require_built("succs");
+        return succs_.row(i);
     }
 
     /// Critical-path level: the node's weight plus the heaviest chain of
     /// successors below it (a sink's level is its own weight). Higher
     /// level = more of the campaign is waiting behind this node.
-    [[nodiscard]] double level(std::size_t i) const;
+    [[nodiscard]] double level(std::size_t i) const {
+        require_built("level");
+        return levels_.at(i);
+    }
 
-    /// Deterministic topological order: Kahn's algorithm with the
-    /// smallest-index ready node first, so the order depends only on the
-    /// graph, never on hashing or timing.
-    [[nodiscard]] const std::vector<std::size_t>& topo_order() const;
+    /// Deterministic topological order: Kahn's algorithm as a FIFO, with
+    /// the sources in index order first, then each node as the last of
+    /// its predecessors is dequeued, in successor-list order. The order
+    /// depends only on the nodes and the order the edges were added,
+    /// never on hashing or timing.
+    [[nodiscard]] const std::vector<std::size_t>& topo_order() const {
+        require_built("topo_order");
+        return topo_;
+    }
 
 private:
-    /// Lets ids_ be searched by string_view without building a string.
-    struct IdHash {
-        using is_transparent = void;
-        std::size_t operator()(std::string_view id) const noexcept {
-            return std::hash<std::string_view>{}(id);
+    /// One direction of the frozen adjacency, in compressed sparse rows:
+    /// node i's list is targets[offsets[i] .. offsets[i + 1]).
+    struct Adjacency {
+        std::vector<std::size_t> offsets;
+        std::vector<std::size_t> targets;
+
+        /// Node i's list; throws std::out_of_range past the last node.
+        [[nodiscard]] std::span<const std::size_t> row(std::size_t i) const {
+            // offsets holds one entry per node, plus one.
+            if (i >= offsets.size() - 1) throw_out_of_range(i);
+            return {targets.data() + offsets[i], offsets[i + 1] - offsets[i]};
         }
     };
 
-    void require_built(const char* what) const;
+    void require_built(const char* what) const {
+        if (!built_) throw_unbuilt(what);
+    }
+    [[noreturn]] static void throw_unbuilt(const char* what);
+    [[noreturn]] static void throw_out_of_range(std::size_t i);
+    /// The id-index slot holding `id`, or the empty slot where it belongs.
+    [[nodiscard]] std::size_t find_slot(std::string_view id) const noexcept;
+    /// Rebuilds the id index with `capacity` slots (a power of two).
+    void rehash(std::size_t capacity);
 
     std::vector<DagNode> nodes_;
-    std::unordered_map<std::string, std::size_t, IdHash, std::equal_to<>> ids_;
-    std::vector<std::vector<std::size_t>> succs_;
-    std::vector<std::vector<std::size_t>> preds_;
+    /// Open-addressed id index with linear probing: each slot holds a node
+    /// index + 1, or 0 when empty. The capacity is a power of two at least
+    /// twice the node count, so every probe sequence ends at an empty slot.
+    std::vector<std::size_t> ids_;
+    /// The edges as added, (from, to); build() lays them out and frees them.
+    std::vector<std::pair<std::size_t, std::size_t>> edges_;
+    Adjacency succs_;
+    Adjacency preds_;
     std::vector<double> levels_;
     std::vector<std::size_t> topo_;
-    std::size_t edges_ = 0;
     bool built_ = false;
 };
 

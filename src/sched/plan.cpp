@@ -32,9 +32,15 @@ std::uint64_t plan_u64(const qrn::json::Value& value, const std::string& what) {
 }  // namespace
 
 std::string plan_node_id(std::uint64_t fleet_index) {
-    std::string digits = std::to_string(fleet_index);
-    if (digits.size() < 5) digits.insert(0, 5 - digits.size(), '0');
-    return "fleet-" + digits;
+    constexpr std::string_view prefix = "fleet-";
+    char digits[20];  // std::uint64_t has at most 20 digits
+    const std::size_t count = static_cast<std::size_t>(
+        std::to_chars(digits, digits + sizeof digits, fleet_index).ptr - digits);
+    const std::size_t pad = count < 5 ? 5 - count : 0;
+    std::string id;
+    id.reserve(prefix.size() + pad + count);
+    id.append(prefix).append(pad, '0').append(digits, count);
+    return id;
 }
 
 std::optional<std::uint64_t> fleet_index_of(std::string_view id) {
@@ -245,7 +251,7 @@ std::optional<CampaignPlan> read_plan(const std::string& store_dir) {
 
 Dag build_campaign_dag(const CampaignPlan& plan) {
     Dag dag;
-    dag.reserve(plan.nodes.size() + 3);
+    dag.reserve(plan.nodes.size() + 3, 2 * plan.nodes.size() + 1);
     const std::size_t generate = dag.add_node(std::string(kGenerateNode), 1.0);
     const std::size_t aggregate = dag.add_node(std::string(kAggregateNode), 1.0);
     const std::size_t verify = dag.add_node(std::string(kVerifyNode), 1.0);

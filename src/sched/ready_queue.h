@@ -1,16 +1,17 @@
 // Ready queue for DAG dispatch: an explicit binary max-heap keyed by
-// critical-path level, ties broken by node id.
+// critical-path level, ties broken by node index.
 //
 // The coordinator pushes a node the moment it becomes dispatchable and
 // pops the node whose remaining chain to the sink is heaviest - the
 // classic critical-path-first order of the artidoro binheap exemplar. The
-// id tie-break makes pop order a pure function of the pushed set, so two
-// coordinators over the same plan dispatch in the same order (which only
-// matters for reproducible traces; correctness never depends on order).
+// index tie-break makes pop order a pure function of the pushed set, so
+// two coordinators over the same plan dispatch in the same order (which
+// only matters for reproducible traces; correctness never depends on
+// order). The coordinator keys its items by fleet index; below 100000
+// fleets the zero-padded node ids sort the same way.
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -18,12 +19,11 @@
 
 namespace qrn::sched {
 
-/// One dispatchable node: its DAG index, priority (critical-path level)
-/// and id (deterministic tie-break).
+/// One dispatchable node: its index (the tie-break) and priority
+/// (critical-path level).
 struct ReadyItem {
     std::size_t node = 0;
     double priority = 0.0;
-    std::string id;
 };
 
 class ReadyQueue {
@@ -51,7 +51,7 @@ private:
     /// True when `a` should pop before `b`.
     [[nodiscard]] static bool before(const ReadyItem& a, const ReadyItem& b) {
         if (a.priority != b.priority) return a.priority > b.priority;
-        return a.id < b.id;
+        return a.node < b.node;
     }
 
     void sift_up(std::size_t at) {

@@ -78,32 +78,6 @@ void apply_cluster_design_effect(const std::vector<TrialOutcome>& outcomes,
 
 }  // namespace detail
 
-double RandomWalkToyModel::true_tail(double level) const {
-    const auto l = static_cast<std::int64_t>(level);
-    if (static_cast<double>(l) != level || l <= 0) {
-        throw std::invalid_argument(
-            "RandomWalkToyModel::true_tail: level must be a positive integer");
-    }
-    const auto m = static_cast<std::int64_t>(steps);
-    // W_m = 2*Bin(m, 1/2) - m, so W_m = w needs j = (m + w) / 2 up-steps
-    // (zero probability when m + w is odd). log P(Bin = j) = lchoose(m, j)
-    // - m log 2, summed from the smallest j with W >= level.
-    const auto log_pmf = [m](std::int64_t j) {
-        const double md = static_cast<double>(m);
-        const double jd = static_cast<double>(j);
-        return std::lgamma(md + 1.0) - std::lgamma(jd + 1.0) -
-               std::lgamma(md - jd + 1.0) - md * std::log(2.0);
-    };
-    // Reflection principle: P(max >= l) = 2 P(W_m > l) + P(W_m = l).
-    double tail = 0.0;
-    for (std::int64_t w = l; w <= m; ++w) {
-        if ((m + w) % 2 != 0) continue;
-        const double p = std::exp(log_pmf((m + w) / 2));
-        tail += (w == l) ? p : 2.0 * p;
-    }
-    return std::min(tail, 1.0);
-}
-
 double encounter_severity(const EncounterOutcome& outcome) noexcept {
     if (outcome.collision) {
         // Collisions dominate every near miss: the offset clears the

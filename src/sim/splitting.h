@@ -33,7 +33,6 @@
 #pragma once
 
 #include <array>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -134,7 +133,8 @@ void apply_cluster_design_effect(const std::vector<TrialOutcome>& outcomes,
 /// Runs a splitting campaign over `model` and returns the composed
 /// estimate.
 ///
-/// Model concept (see PoissonExpToyModel / FleetSeverityModel):
+/// Model concept (see FleetSeverityModel, the shipped model, and the
+/// calibrated toy models in tests/sim/splitting_toy_models.h):
 ///   struct Start;                               trajectory-start state
 ///   Start begin(stats::Rng&) const;             draws env + episode count
 ///   std::uint64_t episodes(const Start&) const; episode count of a start
@@ -146,8 +146,8 @@ void apply_cluster_design_effect(const std::vector<TrialOutcome>& outcomes,
 /// Start and the RNG (not on the episode index), so a clone's prefix
 /// replays bit-identically from its parent's stream indices. The Start is
 /// passed by mutable reference: a model may keep running per-trajectory
-/// state in it (e.g. RandomWalkToyModel's walk position), because every
-/// evaluation replays its episodes in order from episode 0.
+/// state in it (e.g. the random-walk toy model's walk position), because
+/// every evaluation replays its episodes in order from episode 0.
 template <typename Model>
 SplittingResult run_splitting(const Model& model, const SplittingConfig& config,
                               unsigned jobs = 1) {
@@ -290,74 +290,6 @@ SplittingResult run_splitting(const Model& model, const SplittingConfig& config,
     out.estimate = stats::splitting_estimate(tallies, config.levels, config.confidence);
     return out;
 }
-
-/// Calibrated toy workload with a closed-form tail: a trajectory has
-/// Poisson(lambda) episodes with iid Exp(1) severities, so
-///
-///     P(max severity >= t) = 1 - exp(-lambda * e^{-t}).
-///
-/// The validation suite pins the splitting estimator's unbiasedness,
-/// coverage, and efficiency against this truth.
-struct PoissonExpToyModel {
-    double lambda = 4.0;
-
-    struct Start {
-        std::uint64_t episode_count = 0;
-    };
-
-    [[nodiscard]] Start begin(stats::Rng& rng) const {
-        return Start{rng.poisson(lambda)};
-    }
-    [[nodiscard]] std::uint64_t episodes(const Start& start) const {
-        return start.episode_count;
-    }
-    [[nodiscard]] double episode_severity(const Start&, std::uint64_t,
-                                          stats::Rng& rng) const {
-        return rng.exponential(1.0);
-    }
-    [[nodiscard]] double hours_per_trial() const { return 1.0; }
-
-    /// Closed-form P(max severity >= t) for a trajectory.
-    [[nodiscard]] double true_tail(double t) const {
-        return -std::expm1(-lambda * std::exp(-t));
-    }
-};
-
-/// Calibrated toy workload where splitting shines: the severity process is
-/// a simple symmetric random walk (step +-1 per episode, `steps` episodes),
-/// and the rare event is the walk's running maximum reaching a level. This
-/// is a level-crossing problem - survivors of level L_l sit exactly at
-/// L_l and regrow genuinely random futures - so the clone-and-prune ladder
-/// multiplies observable conditional probabilities all the way down to
-/// ~1e-8 tails. The closed-form truth comes from the reflection principle:
-///
-///     P(max_{e<=m} W_e >= l) = 2 P(W_m > l) + P(W_m = l),  integer l > 0.
-///
-/// Contrast with PoissonExpToyModel, whose severity maximum is driven by a
-/// single heavy episode draw: there clones survive mostly by inheriting
-/// their parent's overshoot, the worst case for splitting (see
-/// docs/RARE_EVENTS.md). Keeping both calibrates the validation suite at
-/// the two extremes.
-struct RandomWalkToyModel {
-    std::uint64_t steps = 100;
-
-    struct Start {
-        std::int64_t position = 0;  ///< Running walk state, advanced per episode.
-    };
-
-    [[nodiscard]] Start begin(stats::Rng&) const { return Start{}; }
-    [[nodiscard]] std::uint64_t episodes(const Start&) const { return steps; }
-    [[nodiscard]] double episode_severity(Start& start, std::uint64_t,
-                                          stats::Rng& rng) const {
-        start.position += rng.bernoulli(0.5) ? 1 : -1;
-        return static_cast<double>(start.position);
-    }
-    [[nodiscard]] double hours_per_trial() const { return 1.0; }
-
-    /// Closed-form P(running max >= level) via the reflection principle.
-    /// `level` must be a positive integer value.
-    [[nodiscard]] double true_tail(double level) const;
-};
 
 /// Severity of a resolved encounter, the splitting level function over the
 /// fleet model: collisions dominate (offset 200 plus impact speed), and

@@ -80,7 +80,14 @@ std::string lease_path(const std::string& dir, const std::string& node) {
 }
 
 bool lease_expired(const Lease& lease, std::uint64_t now_ms) noexcept {
-    return now_ms >= lease.acquired_ms + lease.ttl_ms;
+    // A window that starts more than one TTL after now was not stamped by
+    // a clock this one can trust: a holder that far ahead, or a damaged
+    // digit, would otherwise keep the node forever. Differences, not
+    // sums, so no field value can wrap the comparison.
+    if (lease.acquired_ms > now_ms) {
+        return lease.acquired_ms - now_ms > lease.ttl_ms;
+    }
+    return now_ms - lease.acquired_ms >= lease.ttl_ms;
 }
 
 bool try_acquire_lease(const std::string& dir, const Lease& lease) {

@@ -41,7 +41,10 @@ struct Lease {
 [[nodiscard]] std::string lease_path(const std::string& dir,
                                      const std::string& node);
 
-/// True when the lease's window has elapsed at `now_ms`.
+/// True when the lease's window has elapsed at `now_ms`, or when it
+/// starts more than one TTL after `now_ms`: a holder whose clock runs
+/// ahead by less than one TTL is still deferred to, one further ahead is
+/// not.
 [[nodiscard]] bool lease_expired(const Lease& lease,
                                  std::uint64_t now_ms) noexcept;
 

@@ -3,6 +3,10 @@
 // coordinator's dispatch decisions are a pure function of these, so they
 // are pinned as unit properties instead of observed through process soup.
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -11,10 +15,15 @@
 
 #include "sched/dag.h"
 #include "sched/ready_queue.h"
+#include "stats/rng.h"
 
 namespace {
 
 using namespace qrn::sched;
+
+std::vector<std::size_t> as_vector(std::span<const std::size_t> list) {
+    return {list.begin(), list.end()};
+}
 
 /// The campaign spine with two fleet nodes of unequal weight:
 /// generate -> {heavy, light} -> aggregate -> verify.
@@ -46,8 +55,11 @@ TEST(Dag, TopoOrderIsDeterministicAndRespectsEdges) {
                 << dag.node(i).id << " must precede " << dag.node(succ).id;
         }
     }
-    // Kahn with smallest-index-first: the order is a pure function of the
-    // graph, so two identical builds agree exactly.
+    // FIFO Kahn: sources in index order, then each node as its last
+    // predecessor is dequeued. The order is a pure function of the graph,
+    // so two identical builds agree exactly.
+    const std::vector<std::size_t> want{0, 1, 2, 3, 4};
+    EXPECT_EQ(topo, want);
     const Dag again = diamond(10.0, 2.0);
     EXPECT_EQ(topo, again.topo_order());
 }
@@ -62,27 +74,24 @@ TEST(Dag, CriticalPathLevelsAreWeightPlusHeaviestChain) {
     EXPECT_DOUBLE_EQ(dag.level(at("generate")), 13.0);
 }
 
-TEST(Dag, ReadyQueuePopsCriticalPathFirstThenById) {
+TEST(Dag, ReadyQueuePopsCriticalPathFirstThenByNode) {
     const Dag dag = diamond(10.0, 2.0);
+    const auto heavy = *dag.index_of("fleet-00000");
+    const auto light = *dag.index_of("fleet-00001");
     ReadyQueue ready;
-    for (const char* id : {"fleet-00001", "fleet-00000"}) {
-        const auto i = *dag.index_of(id);
-        ready.push(ReadyItem{i, dag.level(i), dag.node(i).id});
-    }
-    EXPECT_EQ(ready.pop().id, "fleet-00000");  // heavier chain first
-    EXPECT_EQ(ready.pop().id, "fleet-00001");
+    for (const std::size_t i : {light, heavy}) ready.push(ReadyItem{i, dag.level(i)});
+    EXPECT_EQ(ready.pop().node, heavy);  // heavier chain first
+    EXPECT_EQ(ready.pop().node, light);
     EXPECT_TRUE(ready.empty());
     EXPECT_THROW(ready.pop(), SchedError);
 
-    // Equal priorities break by id, so dispatch order never depends on
-    // push order or heap internals.
+    // Equal priorities break by node index, so dispatch order never
+    // depends on push order or heap internals.
     ReadyQueue ties;
-    ties.push(ReadyItem{0, 5.0, "fleet-00002"});
-    ties.push(ReadyItem{1, 5.0, "fleet-00001"});
-    ties.push(ReadyItem{2, 5.0, "fleet-00003"});
-    EXPECT_EQ(ties.pop().id, "fleet-00001");
-    EXPECT_EQ(ties.pop().id, "fleet-00002");
-    EXPECT_EQ(ties.pop().id, "fleet-00003");
+    for (const std::size_t node : {2, 1, 3, 0}) ties.push(ReadyItem{node, 5.0});
+    ties.push(ReadyItem{4, 6.0});
+    for (const std::size_t node : {4, 0, 1, 2, 3}) EXPECT_EQ(ties.pop().node, node);
+    EXPECT_TRUE(ties.empty());
 }
 
 TEST(Dag, RejectsCyclesNamingAStableNode) {
@@ -110,7 +119,12 @@ TEST(Dag, RejectsMalformedConstruction) {
     EXPECT_THROW(dag.add_node("b", -1.0), SchedError); // negative weight
     EXPECT_THROW(dag.add_edge(a, a), SchedError);      // self-edge
     EXPECT_THROW(dag.add_edge(a, 99), SchedError);     // out of range
-    EXPECT_THROW(dag.level(a), SchedError);            // query before build
+    // The frozen graph's queries need build().
+    EXPECT_THROW(dag.level(a), SchedError);
+    EXPECT_THROW((void)dag.succs(a), SchedError);
+    EXPECT_THROW((void)dag.preds(a), SchedError);
+    EXPECT_THROW((void)dag.edge_count(), SchedError);
+    EXPECT_THROW((void)dag.topo_order(), SchedError);
     // Rejected nodes leave no trace in the id index.
     EXPECT_EQ(dag.size(), 1u);
     EXPECT_EQ(dag.index_of("a"), a);
@@ -124,13 +138,14 @@ TEST(Dag, DuplicateEdgesStoreOnce) {
     const auto b = dag.add_node("b");
     dag.add_edge(a, b);
     dag.add_edge(a, b);
+    dag.build();
     EXPECT_EQ(dag.edge_count(), 1u);
+    EXPECT_EQ(as_vector(dag.succs(a)), std::vector<std::size_t>{b});
+    EXPECT_EQ(as_vector(dag.preds(b)), std::vector<std::size_t>{a});
 
-    // The campaign hub shape: the duplicate check probes the shorter of
-    // succs(from) and preds(to), so re-adding edges must be caught from
-    // either side - a fleet's short preds for generate -> fleet, its short
-    // succs for fleet -> aggregate, and the hubs' long lists when the
-    // fleet side is the longer one.
+    // The campaign hub shape, with every edge added twice: once while the
+    // hubs' lists are short and once more after one fleet's own lists have
+    // grown past the hubs', so repeats arrive with either side the longer.
     Dag hub;
     const auto generate = hub.add_node("generate");
     const auto aggregate = hub.add_node("aggregate");
@@ -141,29 +156,30 @@ TEST(Dag, DuplicateEdgesStoreOnce) {
         hub.add_edge(fleet, aggregate);
         fleets.push_back(fleet);
     }
-    ASSERT_EQ(hub.edge_count(), 2000u);
-    const std::vector<std::size_t> out_before = hub.succs(generate);
-    const std::vector<std::size_t> in_before = hub.preds(aggregate);
-    EXPECT_EQ(out_before, fleets);  // insertion order, not sorted or hashed
-    EXPECT_EQ(in_before, fleets);
     for (const std::size_t fleet : fleets) {
-        hub.add_edge(generate, fleet);   // probes preds(fleet): 1 entry
-        hub.add_edge(fleet, aggregate);  // probes succs(fleet): 1 entry
+        hub.add_edge(generate, fleet);
+        hub.add_edge(fleet, aggregate);
     }
-    // Grow one fleet's lists past the hubs' so the long side is probed.
     const auto busy = fleets.front();
+    std::vector<std::size_t> before;
+    std::vector<std::size_t> after;
     for (int i = 0; i < 1001; ++i) {
-        hub.add_edge(hub.add_node("before-" + std::to_string(i)), busy);
-        hub.add_edge(busy, hub.add_node("after-" + std::to_string(i)));
+        before.push_back(hub.add_node("before-" + std::to_string(i)));
+        hub.add_edge(before.back(), busy);
+        after.push_back(hub.add_node("after-" + std::to_string(i)));
+        hub.add_edge(busy, after.back());
     }
-    const std::size_t edges = hub.edge_count();
     hub.add_edge(generate, busy);   // preds(busy) now longer than succs(generate)
     hub.add_edge(busy, aggregate);  // succs(busy) now longer than preds(aggregate)
-    EXPECT_EQ(hub.edge_count(), edges);
-    EXPECT_EQ(edges, 2000u + 2 * 1001u);
-    EXPECT_EQ(hub.succs(generate), out_before);
-    EXPECT_EQ(hub.preds(aggregate), in_before);
     hub.build();  // still acyclic
+    EXPECT_EQ(hub.edge_count(), 2000u + 2 * 1001u);
+    // Insertion order of each edge's first occurrence, not sorted or hashed.
+    EXPECT_EQ(as_vector(hub.succs(generate)), fleets);
+    EXPECT_EQ(as_vector(hub.preds(aggregate)), fleets);
+    before.insert(before.begin(), generate);
+    after.insert(after.begin(), aggregate);
+    EXPECT_EQ(as_vector(hub.preds(busy)), before);
+    EXPECT_EQ(as_vector(hub.succs(busy)), after);
 }
 
 TEST(DagMetrics, TopOffendersMatchAFullSort) {
@@ -209,6 +225,256 @@ TEST(DagMetrics, TopOffendersMatchAFullSort) {
     }
     const std::vector<Row> want{{"a", 3}, {"c", 3}, {"m", 3}};
     EXPECT_EQ(rows(compute_metrics(dag, 3).top_fanout), want);
+}
+
+/// One random graph as it is fed to a Dag: nodes in add order, edges in
+/// add order (repeats and cycles included).
+struct GraphSpec {
+    std::vector<DagNode> nodes;
+    std::vector<std::pair<std::size_t, std::size_t>> edges;
+};
+
+/// Up to 200 nodes whose ids are added out of sorted order, edges that
+/// respect a hidden rank order, repeats of earlier edges (so hub lists and
+/// leaf lists both see them), and now and then a planted cycle.
+GraphSpec random_graph(qrn::stats::Rng& rng) {
+    GraphSpec g;
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 200));
+    const auto pick = [&](std::size_t below) {
+        return static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(below) - 1));
+    };
+    const auto shuffled = [&] {
+        std::vector<std::size_t> order(n);
+        for (std::size_t i = 0; i < n; ++i) order[i] = i;
+        for (std::size_t i = n; i > 1; --i) std::swap(order[i - 1], order[pick(i)]);
+        return order;
+    };
+    // Names that sort neither like indices nor like numbers ("v10" < "v2"),
+    // sometimes too long for the string's inline buffer.
+    const std::string prefix = rng.bernoulli(0.2) ? "a-much-longer-node-identifier-" : "v";
+    for (const std::size_t name : shuffled()) {
+        // Small integer weights make level ties, which the critical path
+        // breaks by id.
+        const double weight = rng.bernoulli(0.5)
+                                  ? static_cast<double>(rng.uniform_int(0, 3))
+                                  : rng.uniform(0.0, 5.0);
+        g.nodes.push_back({prefix + std::to_string(name), weight});
+    }
+    const std::vector<std::size_t> rank = shuffled();
+    const auto forward = [&](std::size_t a, std::size_t b) {
+        if (rank[a] > rank[b]) std::swap(a, b);
+        return std::pair{a, b};
+    };
+    if (n >= 2) {
+        const std::size_t edges = pick(3 * n + 1);
+        for (std::size_t e = 0; e < edges; ++e) {
+            const std::size_t a = pick(n);
+            const std::size_t b = pick(n);
+            if (a != b) g.edges.push_back(forward(a, b));
+        }
+        // A hub wired to many nodes, on either end of its edges.
+        if (rng.bernoulli(0.3)) {
+            const std::size_t hub = pick(n);
+            for (std::size_t other = 0; other < n; ++other) {
+                if (other != hub && rng.bernoulli(0.6)) g.edges.push_back(forward(hub, other));
+            }
+        }
+        const std::size_t repeats = g.edges.empty() ? 0 : pick(g.edges.size() + 1);
+        for (std::size_t r = 0; r < repeats; ++r) g.edges.push_back(g.edges[pick(g.edges.size())]);
+        if (rng.bernoulli(0.15)) {
+            // A planted cycle through 2..5 distinct nodes.
+            const std::vector<std::size_t> order = shuffled();
+            const std::size_t length = std::min<std::size_t>(n, 2 + pick(4));
+            for (std::size_t k = 0; k < length; ++k) {
+                g.edges.emplace_back(order[k], order[(k + 1) % length]);
+            }
+        }
+    }
+    return g;
+}
+
+Dag make_dag(const GraphSpec& g) {
+    Dag dag;
+    for (const DagNode& node : g.nodes) dag.add_node(node.id, node.weight);
+    for (const auto& [from, to] : g.edges) dag.add_edge(from, to);
+    return dag;
+}
+
+TEST(Dag, FrozenGraphMatchesANaiveReference) {
+    qrn::stats::Rng rng(0x5eedda6);
+    std::size_t cyclic = 0;
+    for (int trial = 0; trial < 200; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        const GraphSpec g = random_graph(rng);
+        const std::size_t n = g.nodes.size();
+        const auto id = [&](std::size_t i) { return g.nodes[i].id; };
+
+        // Distinct edges, each list in the order of its first occurrence.
+        std::set<std::pair<std::size_t, std::size_t>> distinct;
+        std::vector<std::vector<std::size_t>> succs(n);
+        std::vector<std::vector<std::size_t>> preds(n);
+        for (const auto& [from, to] : g.edges) {
+            if (!distinct.insert({from, to}).second) continue;
+            succs[from].push_back(to);
+            preds[to].push_back(from);
+        }
+
+        // The nodes no topological order can reach: peel nodes whose
+        // predecessors are all peeled until nothing changes.
+        std::vector<bool> peeled(n, false);
+        for (bool changed = true; changed;) {
+            changed = false;
+            for (std::size_t i = 0; i < n; ++i) {
+                if (peeled[i]) continue;
+                if (std::all_of(preds[i].begin(), preds[i].end(),
+                                [&](std::size_t p) { return peeled[p]; })) {
+                    peeled[i] = true;
+                    changed = true;
+                }
+            }
+        }
+
+        Dag dag = make_dag(g);
+        for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(dag.index_of(id(i)), i);
+        for (const std::string& absent :
+             {std::string(), std::string("v"), std::string("w0"), g.nodes[0].id + "x",
+              g.nodes[0].id.substr(0, g.nodes[0].id.size() - 1) + "/", std::string("v") +
+              std::to_string(n)}) {
+            EXPECT_FALSE(dag.index_of(absent).has_value()) << absent;
+        }
+
+        if (std::find(peeled.begin(), peeled.end(), false) != peeled.end()) {
+            ++cyclic;
+            std::string worst;
+            for (std::size_t i = 0; i < n; ++i) {
+                if (!peeled[i] && (worst.empty() || id(i) < worst)) worst = id(i);
+            }
+            for (int attempt = 0; attempt < 2; ++attempt) {
+                try {
+                    dag.build();
+                    ADD_FAILURE() << "cycle must be rejected";
+                } catch (const SchedError& error) {
+                    EXPECT_NE(std::string(error.what()).find("'" + worst + "'"),
+                              std::string::npos)
+                        << error.what();
+                }
+                EXPECT_THROW((void)dag.edge_count(), SchedError);  // still unbuilt
+            }
+            continue;
+        }
+
+        dag.build();
+        ASSERT_EQ(dag.size(), n);
+        EXPECT_EQ(dag.edge_count(), distinct.size());
+        for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(as_vector(dag.succs(i)), succs[i]) << id(i);
+            EXPECT_EQ(as_vector(dag.preds(i)), preds[i]) << id(i);
+            EXPECT_EQ(dag.index_of(id(i)), i);
+        }
+
+        // The documented order: FIFO Kahn, sources in index order, then
+        // successors in list order. It respects every edge and a second
+        // build of the same input repeats it.
+        std::vector<std::size_t> want_topo;
+        std::vector<std::size_t> waiting(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            waiting[i] = preds[i].size();
+            if (waiting[i] == 0) want_topo.push_back(i);
+        }
+        for (std::size_t head = 0; head < want_topo.size(); ++head) {
+            for (const std::size_t succ : succs[want_topo[head]]) {
+                if (--waiting[succ] == 0) want_topo.push_back(succ);
+            }
+        }
+        const std::vector<std::size_t>& topo = dag.topo_order();
+        EXPECT_EQ(topo, want_topo);
+        std::vector<std::size_t> position(n, n);
+        for (std::size_t at = 0; at < topo.size(); ++at) position[topo[at]] = at;
+        for (const auto& [from, to] : distinct) EXPECT_LT(position[from], position[to]);
+        Dag again = make_dag(g);
+        again.build();
+        EXPECT_EQ(again.topo_order(), topo);
+
+        // Levels and depths by memoized depth-first search.
+        std::vector<double> level(n, -1.0);
+        std::vector<std::size_t> depth(n, 0);
+        const auto visit = [&](const auto& self, std::size_t i) -> void {
+            if (depth[i] != 0) return;
+            double below = 0.0;
+            std::size_t deepest = 0;
+            for (const std::size_t succ : succs[i]) {
+                self(self, succ);
+                below = std::max(below, level[succ]);
+                deepest = std::max(deepest, depth[succ]);
+            }
+            level[i] = g.nodes[i].weight + below;
+            depth[i] = deepest + 1;
+        };
+        for (std::size_t i = 0; i < n; ++i) visit(visit, i);
+        for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(dag.level(i)),
+                      std::bit_cast<std::uint64_t>(level[i]))
+                << id(i) << ": " << dag.level(i) << " vs " << level[i];
+        }
+
+        // compute_metrics against its definition, with full sorts.
+        using Row = std::pair<std::string, std::size_t>;
+        const auto top = [&](const std::vector<std::vector<std::size_t>>& lists,
+                             std::size_t k) {
+            std::vector<Row> all;
+            for (std::size_t i = 0; i < n; ++i) all.emplace_back(id(i), lists[i].size());
+            std::sort(all.begin(), all.end(), [](const Row& a, const Row& b) {
+                if (a.second != b.second) return a.second > b.second;
+                return a.first < b.first;
+            });
+            all.resize(std::min(k, all.size()));
+            return all;
+        };
+        const auto rows = [](const std::vector<DagMetrics::Offender>& offenders) {
+            std::vector<Row> out;
+            for (const auto& o : offenders) out.emplace_back(o.id, o.degree);
+            return out;
+        };
+        // The heaviest of `candidates` by (level desc, id asc).
+        const auto heaviest = [&](std::vector<std::size_t> candidates) {
+            std::sort(candidates.begin(), candidates.end(), [&](std::size_t a, std::size_t b) {
+                if (level[a] != level[b]) return level[a] > level[b];
+                return id(a) < id(b);
+            });
+            return candidates.front();
+        };
+        std::vector<std::size_t> sources;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (preds[i].empty()) sources.push_back(i);
+        }
+        std::vector<std::string> path;
+        for (std::size_t at = heaviest(sources);; at = heaviest(succs[at])) {
+            path.push_back(id(at));
+            if (succs[at].empty()) break;
+        }
+        const auto max_size = [&](const std::vector<std::vector<std::size_t>>& lists) {
+            std::size_t peak = 0;
+            for (const auto& list : lists) peak = std::max(peak, list.size());
+            return peak;
+        };
+        for (const std::size_t k : {std::size_t{5}, n}) {
+            const DagMetrics m = compute_metrics(dag, k);
+            EXPECT_EQ(m.node_count, n);
+            EXPECT_EQ(m.edge_count, distinct.size());
+            EXPECT_EQ(m.max_depth, *std::max_element(depth.begin(), depth.end()));
+            EXPECT_EQ(m.fanout_peak, max_size(succs));
+            EXPECT_EQ(m.fanin_peak, max_size(preds));
+            EXPECT_EQ(rows(m.top_fanout), top(succs, k));
+            EXPECT_EQ(rows(m.top_fanin), top(preds, k));
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(m.critical_path_weight),
+                      std::bit_cast<std::uint64_t>(level[heaviest(sources)]));
+            EXPECT_EQ(m.critical_path, path);
+        }
+    }
+    // The seed must exercise both outcomes.
+    EXPECT_GT(cyclic, 10u);
+    EXPECT_LT(cyclic, 100u);
 }
 
 TEST(DagBudget, HardLimitFailsSoftLimitWarns) {

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "splitting_toy_models.h"
 #include "stats/proportion.h"
 #include "stats/rate_estimation.h"
 

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -67,6 +68,40 @@ TEST(Lease, ExpiryIsAcquiredPlusTtl) {
     EXPECT_FALSE(store::lease_expired(lease, lease.acquired_ms + 999));
     EXPECT_TRUE(store::lease_expired(lease, lease.acquired_ms + 1000));
     EXPECT_TRUE(store::lease_expired(lease, lease.acquired_ms + 100000));
+}
+
+TEST(Lease, WindowStartingBeyondOneTtlIsExpired) {
+    const store::Lease lease{"n", "o", 10000, 1000, 1};
+    // A holder whose clock runs ahead by up to one TTL is trusted ...
+    EXPECT_FALSE(store::lease_expired(lease, 9000));
+    EXPECT_FALSE(store::lease_expired(lease, 9500));
+    // ... one further ahead is not.
+    EXPECT_TRUE(store::lease_expired(lease, 8999));
+    EXPECT_TRUE(store::lease_expired(lease, 0));
+    // No field value wraps the comparison.
+    const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+    EXPECT_TRUE(store::lease_expired(store::Lease{"n", "o", max, 1000, 1}, 5000));
+    EXPECT_FALSE(store::lease_expired(store::Lease{"n", "o", max - 10, max, 1}, max - 20));
+    EXPECT_FALSE(store::lease_expired(store::Lease{"n", "o", 5000, max, 1}, max - 1));
+}
+
+TEST(Lease, ClaimStealsAFutureStampedLeaseAndDefersToASlightlyAheadOne) {
+    const auto dir = lease_dir_for("future");
+    // The largest stamp a lease file can carry exactly: centuries ahead.
+    const std::uint64_t ttl = 60000;
+    store::overwrite_lease(dir, store::Lease{"far", "ahead", 9007199254740991, ttl, 4});
+    const auto stolen = store::claim_lease(dir, "far", "b", ttl);
+    ASSERT_TRUE(stolen.has_value());
+    EXPECT_TRUE(stolen->stolen);
+    EXPECT_EQ(stolen->generation, 5u);
+    EXPECT_EQ(store::read_lease(dir, "far")->owner, "b");
+
+    // A peer half a TTL ahead holds a live lease.
+    store::overwrite_lease(
+        dir, store::Lease{"near", "ahead", store::lease_now_ms() + ttl / 2, ttl, 4});
+    EXPECT_FALSE(store::claim_lease(dir, "near", "b", ttl).has_value());
+    EXPECT_EQ(store::read_lease(dir, "near")->owner, "ahead");
+    EXPECT_EQ(store::read_lease(dir, "near")->generation, 4u);
 }
 
 TEST(Lease, StealReplacesAndBumpsGeneration) {
