@@ -290,8 +290,9 @@ CoordinatorStats run_coordinator(const CampaignPlan& plan, const Dag& dag,
 
     std::size_t done_count = 0;
     // Verifies the node's shard against the plan key and records it in the
-    // manifest (this process is the manifest's single writer). Returns
-    // false when the shard is absent or does not verify.
+    // store, which deletes any other shard of the fleet (this process is
+    // the store's single recorder). Returns false when the shard is absent
+    // or does not verify.
     const auto try_finish = [&](std::uint64_t i) {
         const store::FleetShard shard =
             store::check_fleet_shard(config.store_dir, i, plan.nodes[i].key);

@@ -47,8 +47,9 @@ struct CoordinatorStats {
 };
 
 /// Drives every fleet node of the plan to "done" (sealed shard verifies
-/// clean) and records each into the store manifest, making this process
-/// the manifest's single writer. Returns when all fleet nodes are done.
+/// clean) and records each into the store, making this process the one
+/// that deletes a fleet's superseded shards (another campaign's keys).
+/// Returns when all fleet nodes are done, one shard per plan fleet.
 /// Throws SchedError when the campaign cannot finish (a node exhausted its
 /// retries, or every worker died past its respawn budget) and
 /// StoreError(Io) on store failures.

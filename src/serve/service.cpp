@@ -69,8 +69,8 @@ Service::Service(RiskNorm norm, IncidentTypeSet types, ServiceConfig config)
     for (const auto& name : store_.stray_temp_files()) {
         std::filesystem::remove(store_.dir() + "/" + name);
     }
-    // Rebuild the sealed-prefix fold by re-scanning every sealed shard in
-    // fleet order; the scan re-checksums all blocks, so corruption fails
+    // Rebuild the sealed-prefix fold by re-scanning every listed shard in
+    // sequence order; the scan re-checksums all blocks, so corruption fails
     // startup loudly instead of poisoning the evidence.
     const auto entries = store_.entries();
     for (std::size_t i = 0; i < entries.size(); ++i) {
@@ -124,9 +124,8 @@ void Service::seal_current_shard() {
     totals.exposure_hours = pending_exposure_;
     const store::SealReceipt receipt = writer_->seal(totals);
     if (receipt.records != pending_records_) {
-        // The store entry recorded below would claim pending_records_;
-        // a footer that disagrees means a verify pass would later brand
-        // the shard inconsistent, so fail the seal loudly instead.
+        // The footer must hold every record the service accepted; one
+        // that disagrees lost records, so fail the seal loudly instead.
         throw store::StoreError(
             store::StoreErrorKind::Inconsistent,
             "seal receipt claims " + std::to_string(receipt.records) +
@@ -138,8 +137,6 @@ void Service::seal_current_shard() {
     entry.fleet_index = next_sequence_;
     entry.file = store::Store::shard_filename(next_sequence_, key);
     entry.cache_key = key;
-    entry.records = pending_records_;
-    entry.exposure_hours = pending_exposure_;
     store_.record(entry);
     writer_.reset();
     fold_sealed_shard(store_.shard_path(entry));

@@ -1,7 +1,6 @@
 #include "store/campaign_store.h"
 
 #include <atomic>
-#include <filesystem>
 #include <stdexcept>
 #include <string>
 
@@ -116,14 +115,8 @@ StoreCampaignStats run_campaign_with_store(const sim::CampaignConfig& config,
                 shard.entry = simulate_fleet_shard(config, store.dir(), i, key);
             }
 
-            // A previous run may have left this fleet under a different
-            // key (different config); the new manifest row supersedes it,
-            // and the stale file is removed best-effort.
-            if (const ShardEntry* stale = store.find(i);
-                stale != nullptr && stale->file != shard.entry.file) {
-                std::error_code ec;
-                std::filesystem::remove(store.shard_path(*stale), ec);
-            }
+            // Recording also deletes any shard a previous run left for this
+            // fleet under another key (another config).
             store.record(shard.entry);
             return shard.entry;
         });

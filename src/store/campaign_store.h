@@ -3,10 +3,11 @@
 // Every fleet of a campaign is a pure function of its cache key, so a
 // campaign run against a store becomes: for each fleet, either reuse the
 // sealed shard whose key matches, or simulate the fleet and seal a new
-// shard. A killed run leaves sealed shards for the fleets it finished (the
-// manifest is rewritten after every seal); rerunning the same command
-// resumes exactly there and produces byte-identical shards - and therefore
-// byte-identical downstream statistics - to an uninterrupted run.
+// shard. A killed run leaves sealed shards for the fleets it finished (a
+// seal is an atomic rename, and the directory is the store's index);
+// rerunning the same command resumes exactly there and produces
+// byte-identical shards - and therefore byte-identical downstream
+// statistics - to an uninterrupted run.
 //
 // A shard is only ever reused after a full integrity re-scan
 // (check_fleet_shard, the one check the distributed coordinator and its
@@ -48,7 +49,7 @@ enum class ShardState {
 /// What check_fleet_shard found for one fleet.
 struct FleetShard {
     ShardState state = ShardState::Absent;
-    ShardEntry entry;  ///< The manifest row describing the shard when Sealed.
+    ShardEntry entry;  ///< The shard, with its footer's records and exposure, when Sealed.
 };
 
 /// The one sealed-shard check: does fleet `fleet_index`'s shard in `dir`
@@ -62,19 +63,20 @@ struct FleetShard {
 /// Runs the campaign against the store. Fleet i's key is
 /// fleet_cache_key(config.base, config.hours_per_fleet, i, inputs_digest);
 /// fleets run (or verify) in parallel per config.jobs, and the outcome is
-/// independent of jobs and of interruption history. Throws StoreError(Io)
-/// when shards cannot be written and std::invalid_argument on a config the
-/// plain run_campaign would also reject.
+/// independent of jobs and of interruption history; afterwards the store
+/// holds one shard per fleet. Throws StoreError(Io) when shards cannot be
+/// written and std::invalid_argument on a config the plain run_campaign
+/// would also reject.
 [[nodiscard]] StoreCampaignStats run_campaign_with_store(
     const sim::CampaignConfig& config, Store& store, std::string_view inputs_digest);
 
 /// Simulates one fleet of the campaign and seals its shard into `dir`
-/// under `key`, without touching any manifest: the single code path
+/// under `key`, without recording it in any Store: the single code path
 /// behind both the local cache-miss branch above and the distributed
 /// scheduler's workers, so a shard's bytes depend only on the campaign
 /// inputs - never on which process produced it. `key` must be the fleet's
 /// cache key (the caller already holds it: from its CampaignKeys, or from
-/// a plan whose keys verify_plan_keys checked). Returns the manifest row
+/// a plan whose keys verify_plan_keys checked). Returns the entry
 /// describing the sealed shard (the caller decides whether and where to
 /// record it).
 [[nodiscard]] ShardEntry simulate_fleet_shard(const sim::CampaignConfig& config,

@@ -1,5 +1,6 @@
 #include "store/lease.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -20,6 +21,8 @@ namespace {
 
 constexpr std::string_view kLeaseKind = "qrn.lease";
 constexpr std::string_view kLeaseExtension = ".lease";
+/// A claimant honours at most this many of its own (at most one-day) TTLs.
+constexpr std::uint64_t kHonouredTtlFactor = 4;
 
 [[noreturn]] void throw_io(const std::string& action, const std::string& path) {
     throw StoreError(StoreErrorKind::Io,
@@ -27,14 +30,14 @@ constexpr std::string_view kLeaseExtension = ".lease";
 }
 
 std::string lease_json(const Lease& lease) {
-    // Each json::Value is built in place inside its pair (no moved
-    // temporary; see Store::write_manifest_locked).
+    // Each json::Value is built in place inside its pair: a moved temporary
+    // trips GCC 12's -Wmaybe-uninitialized at -O2.
     json::Object doc;
     doc.emplace_back("kind", std::string(kLeaseKind));
     doc.emplace_back("node", lease.node);
     doc.emplace_back("owner", lease.owner);
     // Epoch milliseconds (~2^41) and generations sit far below 2^53, so
-    // the JSON-number round trip is exact, as for manifest fleet indices.
+    // the JSON-number round trip is exact.
     doc.emplace_back("acquired_ms", static_cast<std::size_t>(lease.acquired_ms));
     doc.emplace_back("ttl_ms", static_cast<std::size_t>(lease.ttl_ms));
     doc.emplace_back("generation", static_cast<std::size_t>(lease.generation));
@@ -178,7 +181,11 @@ std::optional<LeaseClaim> claim_lease(const std::string& dir, const std::string&
         }
         return LeaseClaim{1, false};
     }
-    if (!lease_expired(*current, lease_now_ms())) return std::nullopt;
+    // A lease stating a century-long TTL (a misconfigured peer, a damaged
+    // digit) must not stall the node for good; equal peers renew at TTL/3.
+    Lease judged = *current;
+    judged.ttl_ms = std::min(judged.ttl_ms, ttl_ms * kHonouredTtlFactor);
+    if (!lease_expired(judged, lease_now_ms())) return std::nullopt;
     const std::uint64_t generation = current->generation + 1;
     overwrite_lease(dir, Lease{node, owner, lease_now_ms(), ttl_ms, generation});
     return LeaseClaim{generation, true};

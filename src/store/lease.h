@@ -80,6 +80,7 @@ struct LeaseClaim {
 ///  - none: acquires it (generation 1), unless a peer wins the race;
 ///  - expired or `<malformed>`: steals it (generation + 1);
 ///  - live: defers to its holder.
+/// Expiry is judged with min(lease.ttl_ms, 4 x `ttl_ms`), whatever the lease states.
 /// Returns the claim, or nullopt when the caller must leave the node to
 /// someone else for now. Two stealers racing on one expired lease both
 /// win; duplicate execution is benign (deterministic bytes, atomic seal).

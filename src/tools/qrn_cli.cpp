@@ -23,7 +23,7 @@
 //                                    re-simulated (checkpoint/resume;
 //                                    outputs stay bit-identical). --resume
 //                                    additionally requires DIR to hold a
-//                                    previous run's manifest (exit 3
+//                                    previous run's store header (exit 3
 //                                    otherwise).
 //   campaign ... --store DIR --distributed [--workers N] [--sched-ttl-ms N]
 //            [--sched-max-nodes N]
@@ -41,9 +41,10 @@
 //                                    larger than --sched-max-nodes is
 //                                    rejected with diagnostics (exit 1).
 //                                    The workers seal the shards; the run
-//                                    then checks every plan node's
-//                                    manifest row and aggregates those
-//                                    shards (each record is read twice:
+//                                    then checks that every plan node's
+//                                    shard is listed under its plan key
+//                                    and aggregates those shards (each
+//                                    record is read twice:
 //                                    verify, then aggregate). stdout is
 //                                    byte-identical to the same campaign
 //                                    with --jobs 1, at any worker count
@@ -76,8 +77,11 @@
 //                                    full demo: allocate, simulate, verify,
 //                                    print the safety case (text or
 //                                    markdown task list)
-//   store inspect --store DIR        list the store: provenance, every
-//                                    sealed shard, stray .tmp files
+//   store inspect --store DIR [--jobs N]
+//                                    list the store: provenance, every
+//                                    sealed shard with its footer's
+//                                    records and exposure, stray .tmp
+//                                    files
 //   store verify --store DIR [--jobs N]
 //                                    full integrity scan of every shard;
 //                                    any corrupt/truncated/missing shard
@@ -136,10 +140,12 @@
 // Evidence document format:
 //   {"kind":"qrn.evidence","exposure_hours":H,
 //    "events":[{"incident_type":"I1","events":N}, ...]}
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 // qrn-lint: allow(iostream-in-lib) CLI entry point: stdout/stderr is the product surface
 #include <iostream>
@@ -708,18 +714,21 @@ int cmd_campaign(const Args& args) {
                 std::_Exit(137);
             }
 
-            // The "verify" node: every plan node must be in the manifest
+            // The "verify" node: every plan node's shard must be listed
             // under its plan key. The coordinator recorded only shards it
-            // verified, so these rows are what the aggregate reads.
-            const store::Store manifest(*store_dir);
+            // verified, and recording deleted every other shard of those
+            // fleets, so the listing is what the aggregate reads.
+            const auto listed = store::Store(*store_dir).entries();
             for (const auto& node : plan.nodes) {
-                const store::ShardEntry* entry = manifest.find(node.fleet_index);
-                if (entry == nullptr || entry->cache_key != node.key) {
+                const auto entry = std::ranges::lower_bound(
+                    listed, node.fleet_index, {}, &store::ShardEntry::fleet_index);
+                const bool found =
+                    entry != listed.end() && entry->fleet_index == node.fleet_index;
+                if (!found || entry->cache_key != node.key) {
                     std::cerr << "sched: verify: "
                               << sched::plan_node_id(node.fleet_index)
-                              << (entry != nullptr
-                                      ? " is recorded under the wrong key\n"
-                                      : " is missing from the manifest\n");
+                              << (found ? " is listed under the wrong key\n"
+                                        : " is missing from the store\n");
                     continue;
                 }
                 sealed.push_back(*entry);
@@ -856,34 +865,53 @@ int cmd_version() {
     return 0;
 }
 
-/// Opens --store DIR and insists on an existing manifest: a store worth
-/// inspecting, verifying or merging is one a campaign has written to.
-std::string require_store_dir(const Args& args) {
+/// The --store DIR value: a non-empty path.
+std::string store_dir_option(const Args& args) {
     const std::string dir = args.require("--store");
     if (dir.empty()) throw ParseError("--store", dir, "a directory path");
     return dir;
 }
 
+/// The --store DIR of a read-only store command. It must name an existing
+/// directory (exit 3 otherwise): opening a Store would create a mistyped
+/// path. The caller then insists on a store header - a store worth
+/// inspecting, verifying or merging is one a campaign has written to.
+std::string require_store_dir(const Args& args) {
+    const std::string dir = store_dir_option(args);
+    std::error_code ec;
+    if (!std::filesystem::is_directory(dir, ec)) {
+        throw IoError("no store directory '" + dir + "'");
+    }
+    return dir;
+}
+
 int cmd_store_inspect(const Args& args) {
+    const unsigned jobs = parse_jobs(args);
     const std::string dir = require_store_dir(args);
     const store::Store st(dir);
     if (!st.manifest_found()) throw IoError("no store manifest in '" + dir + "'");
     const auto entries = st.entries();
+    // Records and exposure come from each shard's sealed footer, through
+    // the same full scan `store verify` makes; a damaged shard fails here.
+    const auto infos = exec::parallel_map<store::ShardInfo>(
+        jobs, entries.size(),
+        [&](std::size_t i) { return store::verify_shard(st.shard_path(entries[i])); });
     std::uint64_t records = 0;
     double hours = 0.0;
-    for (const auto& e : entries) {
-        records += e.records;
-        hours += e.exposure_hours;
+    for (const auto& info : infos) {
+        records += info.records;
+        hours += info.totals.exposure_hours;
     }
     std::cout << "store: " << dir << '\n'
               << "git describe: " << QRN_GIT_DESCRIBE << '\n'
               << "shards: " << entries.size() << ", records: " << records
               << ", exposure: " << hours << " h\n";
-    for (const auto& e : entries) {
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        const auto& e = entries[i];
         std::cout << "  fleet " << e.fleet_index << "  key "
-                  << store::key_hex(e.cache_key) << "  records " << e.records
-                  << "  exposure " << e.exposure_hours << " h  file " << e.file
-                  << '\n';
+                  << store::key_hex(e.cache_key) << "  records " << infos[i].records
+                  << "  exposure " << infos[i].totals.exposure_hours << " h  file "
+                  << e.file << '\n';
     }
     for (const auto& name : st.stray_temp_files()) {
         std::cerr << "warning: stray temp file (interrupted write): " << name
@@ -893,8 +921,8 @@ int cmd_store_inspect(const Args& args) {
 }
 
 int cmd_store_verify(const Args& args) {
-    const std::string dir = require_store_dir(args);
     const unsigned jobs = parse_jobs(args);
+    const std::string dir = require_store_dir(args);
     const store::Store st(dir);
     if (!st.manifest_found()) throw IoError("no store manifest in '" + dir + "'");
     const auto entries = st.entries();
@@ -904,18 +932,18 @@ int cmd_store_verify(const Args& args) {
         std::string message;
     };
     // Anything that stops a shard from being fully read and checksummed -
-    // truncation, bit rot, a missing file, an identity mismatch - fails
-    // verification; the store either proves itself whole or exits 2.
+    // truncation, bit rot, a missing file, a header naming another fleet
+    // or key than the file name does - fails verification; the store
+    // either proves itself whole or exits 2.
     const auto outcomes = exec::parallel_map<Outcome>(
         jobs, entries.size(), [&](std::size_t i) {
             try {
                 const auto info = store::verify_shard(st.shard_path(entries[i]));
                 if (info.cache_key != entries[i].cache_key ||
-                    info.fleet_index != entries[i].fleet_index ||
-                    info.records != entries[i].records) {
+                    info.fleet_index != entries[i].fleet_index) {
                     return Outcome{false,
                                    entries[i].file +
-                                       ": shard identity disagrees with the manifest"};
+                                       ": shard header disagrees with its file name"};
                 }
                 return Outcome{};
             } catch (const std::exception& error) {
@@ -938,9 +966,9 @@ int cmd_store_verify(const Args& args) {
 }
 
 int cmd_store_merge(const Args& args) {
-    const std::string dir = require_store_dir(args);
     const std::string out_path = args.require("--out");
     if (out_path.empty()) throw ParseError("--out", out_path, "a file path");
+    const std::string dir = require_store_dir(args);
     const store::Store st(dir);
     if (!st.manifest_found()) throw IoError("no store manifest in '" + dir + "'");
     const auto entries = st.entries();
@@ -1072,7 +1100,7 @@ int cmd_serve(const Args& args) {
         "--queue", args.option("--queue").value_or("64"), 1, 1u << 20));
 
     serve::ServiceConfig service_config;
-    service_config.store_dir = require_store_dir(args);
+    service_config.store_dir = store_dir_option(args);
     service_config.shard_roll = tools::parse_u64(
         "--batch", args.option("--batch").value_or("4096"), 1, 10'000'000);
     service_config.jobs = parse_jobs(args);

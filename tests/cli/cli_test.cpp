@@ -705,11 +705,14 @@ TEST(Cli, DistributedCampaignReadsEachRecordTwice) {
                       " --distributed --workers 2 --metrics " + metrics_path)
                   .exit_code,
               0);
-    double records = 0.0;
-    const auto manifest = qrn::json::parse(read_file(dir + "/manifest.json"));
-    for (const auto& row : manifest.at("shards").as_array()) {
-        records += row.at("records").as_number();
-    }
+    // The store's record count, from its shards' footers.
+    const auto inspect = run_cli("store inspect --store " + dir);
+    ASSERT_EQ(inspect.exit_code, 0);
+    const std::size_t at = inspect.output.find(", records: ");
+    ASSERT_NE(at, std::string::npos) << inspect.output;
+    const std::size_t end = inspect.output.find(',', at + 11);
+    const double records =
+        qrn::json::parse(inspect.output.substr(at + 11, end - at - 11)).as_number();
     ASSERT_GT(records, 0.0) << "campaign too quiet to count read passes";
     double records_read = -1.0;
     const auto metrics = qrn::json::parse(read_file(metrics_path));
@@ -796,6 +799,8 @@ TEST(Cli, StoreVerifyDetectsCorruptionAndCampaignHeals) {
     EXPECT_NE(verify.output.find(std::filesystem::path(victim).filename().string()),
               std::string::npos)
         << verify.output;
+    // inspect reads every footer, so it cannot list the damaged shard either.
+    EXPECT_EQ(run_cli("store inspect --store " + dir).exit_code, 2);
 
     // A campaign against the damaged store re-simulates, never trusts...
     const auto healed = run_cli_stderr(args);
@@ -814,8 +819,86 @@ TEST(Cli, StoreUsageErrors) {
     EXPECT_EQ(run_cli("store verify").exit_code, 1);        // --store missing
     EXPECT_EQ(run_cli("store merge --store x").exit_code, 1);  // --out missing
     EXPECT_EQ(run_cli("campaign --fleets 2 --hours 5 --store \"\"").exit_code, 1);
-    // Inspecting a store that was never created is an I/O error.
-    EXPECT_EQ(run_cli("store inspect --store /no/such/qrn/store").exit_code, 3);
+    // Reading a store that was never created is an I/O error, and the
+    // read-only commands create nothing on the way.
+    const std::string missing = store_dir("never_created") + "/nested";
+    const std::string merged = temp_path("never_merged.qrs");
+    EXPECT_EQ(run_cli("store inspect --store " + missing).exit_code, 3);
+    EXPECT_EQ(run_cli("store verify --store " + missing).exit_code, 3);
+    EXPECT_EQ(run_cli("store merge --store " + missing + " --out " + merged).exit_code, 3);
+    EXPECT_FALSE(std::filesystem::exists(missing));
+    EXPECT_FALSE(std::filesystem::exists(std::filesystem::path(missing).parent_path()));
+    EXPECT_FALSE(std::filesystem::exists(merged));
+}
+
+TEST(Cli, StoreVerifyNamesAShardCopiedOverAnotherFleet) {
+    // Every checksum of the copy passes; only its header says it holds
+    // fleet 1, not the fleet and key its file name promises.
+    const std::string dir = store_dir("copied_shard");
+    ASSERT_EQ(run_cli("campaign --fleets 3 --hours 10 --seed 9 --store " + dir).exit_code,
+              0);
+    std::vector<std::string> shards;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        if (entry.path().extension() == ".qrs") shards.push_back(entry.path());
+    }
+    std::sort(shards.begin(), shards.end());
+    ASSERT_EQ(shards.size(), 3u);
+    std::filesystem::copy_file(shards[1], shards[2],
+                               std::filesystem::copy_options::overwrite_existing);
+
+    const auto verify = run_cli_stderr("store verify --store " + dir);
+    EXPECT_EQ(verify.exit_code, 2);
+    EXPECT_NE(verify.output.find(std::filesystem::path(shards[2]).filename().string()),
+              std::string::npos)
+        << verify.output;
+    EXPECT_EQ(verify.output.find(std::filesystem::path(shards[1]).filename().string()),
+              std::string::npos)
+        << verify.output;
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Cli, ParentBuiltStoreOpensWarmAndVerifies) {
+    // Builds before the listing kept a row per shard in manifest.json. Such
+    // a store opens unchanged: its rows are never read, never rewritten.
+    const std::string dir = store_dir("parent_format");
+    const std::string args = "campaign --fleets 3 --hours 10 --seed 9 --store " + dir;
+    const auto cold = run_cli(args);
+    ASSERT_EQ(cold.exit_code, 0);
+    std::vector<std::string> names;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        if (entry.path().extension() == ".qrs") names.push_back(entry.path().filename());
+    }
+    std::sort(names.begin(), names.end());  // fleet-00000-..., fleet-00001-..., ...
+    qrn::json::Array rows;
+    for (std::size_t fleet = 0; fleet < names.size(); ++fleet) {
+        const std::string& name = names[fleet];
+        qrn::json::Object row;
+        row.emplace_back("fleet_index", fleet);
+        row.emplace_back("file", name);
+        row.emplace_back("key", name.substr(12, 16));
+        row.emplace_back("records", static_cast<std::size_t>(2));
+        row.emplace_back("exposure_hours", 10.0);
+        rows.emplace_back(std::move(row));
+    }
+    ASSERT_EQ(rows.size(), 3u);
+    qrn::json::Object doc;
+    doc.emplace_back("kind", std::string("qrn.store"));
+    doc.emplace_back("schema_version", 1);
+    doc.emplace_back("shards", std::move(rows));
+    const std::string manifest = qrn::json::Value(std::move(doc)).dump(2) + "\n";
+    write_file(dir + "/manifest.json", manifest);
+
+    const auto warm = run_cli_stderr(args + " --resume");
+    EXPECT_EQ(warm.exit_code, 0);
+    EXPECT_NE(warm.output.find("3 shard(s) reused, 0 simulated"), std::string::npos)
+        << warm.output;
+    EXPECT_EQ(run_cli(args).output, cold.output);
+    const auto verify = run_cli("store verify --store " + dir);
+    EXPECT_EQ(verify.exit_code, 0);
+    EXPECT_NE(verify.output.find("verified 3/3 shard(s)"), std::string::npos)
+        << verify.output;
+    EXPECT_EQ(read_file(dir + "/manifest.json"), manifest);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Cli, PipelineMarkdownVariant) {

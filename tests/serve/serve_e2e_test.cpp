@@ -371,7 +371,7 @@ TEST_F(ServeE2E, DrainSealsThePartialShardAndRestartResumesThere) {
 }
 
 TEST_F(ServeE2E, RestartRejectsAShardSealedUnderAnotherSequence) {
-    // The startup re-scan walks the manifest in sequence order, but only a
+    // The startup re-scan walks the listing in sequence order, but only a
     // shard's header says which sequence its bytes were sealed as. A copy
     // of shard 1 over shard 2 passes every checksum and must still fail
     // startup instead of being folded twice.

@@ -55,6 +55,15 @@ std::map<std::string, std::string> shard_bytes(const Store& store) {
     return bytes;
 }
 
+/// How many `.qrs` files a store directory holds.
+std::size_t shard_files(const std::string& dir) {
+    std::size_t count = 0;
+    for (const auto& item : std::filesystem::directory_iterator(dir)) {
+        count += item.path().extension() == ".qrs" ? 1 : 0;
+    }
+    return count;
+}
+
 std::uint64_t counter(const std::string& name) {
     for (const auto& value : obs::counters_snapshot()) {
         if (value.name == name) return value.value;
@@ -82,7 +91,7 @@ TEST(CampaignStore, ColdRunSimulatesAndSealsEveryFleet) {
         EXPECT_EQ(info.fleet_index, i);
         EXPECT_EQ(info.records, entry.records);
     }
-    // The manifest survives reopening and indexes everything.
+    // A reopened store lists every shard and finds its header.
     const Store reopened(dir);
     EXPECT_TRUE(reopened.manifest_found());
     EXPECT_EQ(reopened.entries().size(), 4u);
@@ -202,6 +211,42 @@ TEST(CampaignStore, ChangedConfigInvalidatesTheWholeCache) {
                                                    entry.fleet_index, kDigest));
         EXPECT_NO_THROW((void)verify_shard(store.shard_path(entry)));
     }
+    // The old config's shards are gone: exactly one .qrs per fleet.
+    EXPECT_EQ(shard_files(dir), 4u);
+    EXPECT_EQ(Store(dir).entries().size(), 4u);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(CampaignStore, RerunSettlesAFleetWithTwoShards) {
+    // A run killed between sealing fleet 1 under a new key and removing
+    // its old shard leaves two shards of fleet 1. Readers refuse to pick
+    // one; rerunning the campaign keeps the one its key names.
+    const auto config = small_campaign();
+    const std::string dir = fresh_dir("duplicate");
+    {
+        Store store(dir);
+        (void)run_campaign_with_store(config, store, kDigest);
+        const ShardEntry fleet1 = store.entries()[1];
+        std::filesystem::copy_file(
+            store.shard_path(fleet1),
+            dir + "/" + Store::shard_filename(1, fleet1.cache_key ^ 1));
+    }
+    EXPECT_EQ(shard_files(dir), 5u);
+    try {
+        (void)Store(dir).entries();
+        FAIL() << "expected StoreError";
+    } catch (const StoreError& error) {
+        EXPECT_EQ(error.kind(), StoreErrorKind::Inconsistent);
+    }
+
+    Store store(dir);
+    const auto rerun = run_campaign_with_store(config, store, kDigest);
+    EXPECT_EQ(rerun.fleets_reused, 4u);
+    EXPECT_EQ(shard_files(dir), 4u);
+    const auto entries = Store(dir).entries();
+    ASSERT_EQ(entries.size(), 4u);
+    EXPECT_EQ(entries[1].cache_key,
+              fleet_cache_key(config.base, config.hours_per_fleet, 1, kDigest));
     std::filesystem::remove_all(dir);
 }
 

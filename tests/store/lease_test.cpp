@@ -104,6 +104,34 @@ TEST(Lease, ClaimStealsAFutureStampedLeaseAndDefersToASlightlyAheadOne) {
     EXPECT_EQ(store::read_lease(dir, "near")->generation, 4u);
 }
 
+TEST(Lease, ClaimStealsALeaseWhoseTtlIsBeyondFourOfItsOwn) {
+    const auto dir = lease_dir_for("ttl_cap");
+    // Stamped a second ago with the largest TTL a lease file carries
+    // exactly: honoured as stated, it would hold the node for centuries.
+    // A claimant with a 100 ms TTL honours at most 400 ms of it.
+    store::overwrite_lease(dir, store::Lease{"huge", "peer", store::lease_now_ms() - 1000,
+                                             9007199254740991, 6});
+    const auto stolen = store::claim_lease(dir, "huge", "b", 100);
+    ASSERT_TRUE(stolen.has_value());
+    EXPECT_TRUE(stolen->stolen);
+    EXPECT_EQ(stolen->generation, 7u);
+    EXPECT_EQ(store::read_lease(dir, "huge")->owner, "b");
+    EXPECT_EQ(store::read_lease(dir, "huge")->ttl_ms, 100u);
+}
+
+TEST(Lease, ClaimDefersToALeaseWhoseTtlIsWithinFourOfItsOwn) {
+    const auto dir = lease_dir_for("ttl_within_cap");
+    // Stamped a second ago: a 3 s TTL is within four of the claimant's
+    // 1 s, and a 60 s TTL is capped at 4 s - both still live.
+    for (const std::uint64_t ttl : {3000u, 60000u}) {
+        store::overwrite_lease(
+            dir, store::Lease{"n", "peer", store::lease_now_ms() - 1000, ttl, 2});
+        EXPECT_FALSE(store::claim_lease(dir, "n", "b", 1000).has_value()) << ttl;
+        EXPECT_EQ(store::read_lease(dir, "n")->owner, "peer") << ttl;
+        EXPECT_EQ(store::read_lease(dir, "n")->generation, 2u) << ttl;
+    }
+}
+
 TEST(Lease, StealReplacesAndBumpsGeneration) {
     const auto dir = lease_dir_for("steal");
     ASSERT_TRUE(store::try_acquire_lease(dir, make_lease("n", "dead", 1, 1)));
