@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <string_view>
 
@@ -10,7 +11,9 @@ namespace qrn::sched {
 
 namespace {
 
-constexpr std::size_t kUnmarked = static_cast<std::size_t>(-1);
+using Index = Dag::Index;
+
+constexpr Index kUnmarked = std::numeric_limits<Index>::max();
 
 std::size_t id_hash(std::string_view id) noexcept {
     return std::hash<std::string_view>{}(id);
@@ -23,9 +26,9 @@ std::size_t id_hash(std::string_view id) noexcept {
 /// `seen` is scratch of one mark per node: the last list that named each
 /// node, which is all the repeat check needs because the lists are
 /// visited one at a time.
-void lay_out(const std::vector<std::pair<std::size_t, std::size_t>>& edges,
-             bool by_source, std::size_t nodes, std::vector<std::size_t>& offsets,
-             std::vector<std::size_t>& targets, std::vector<std::size_t>& seen) {
+void lay_out(const std::vector<std::pair<Index, Index>>& edges, bool by_source,
+             std::size_t nodes, std::vector<Index>& offsets, std::vector<Index>& targets,
+             std::vector<Index>& seen) {
     offsets.assign(nodes + 1, 0);
     for (const auto& [from, to] : edges) ++offsets[(by_source ? from : to) + 1];
     std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
@@ -36,13 +39,13 @@ void lay_out(const std::vector<std::pair<std::size_t, std::size_t>>& edges,
         targets[offsets[by_source ? from : to]++] = by_source ? to : from;
     }
     seen.assign(nodes, kUnmarked);
-    std::size_t read = 0;
-    std::size_t write = 0;
-    for (std::size_t node = 0; node < nodes; ++node) {
-        const std::size_t end = offsets[node];
+    Index read = 0;
+    Index write = 0;
+    for (Index node = 0; node < nodes; ++node) {
+        const Index end = offsets[node];
         offsets[node] = write;
         for (; read < end; ++read) {
-            const std::size_t other = targets[read];
+            const Index other = targets[read];
             if (seen[other] == node) continue;
             seen[other] = node;
             targets[write++] = other;
@@ -52,10 +55,23 @@ void lay_out(const std::vector<std::pair<std::size_t, std::size_t>>& edges,
     targets.resize(write);
 }
 
+[[noreturn]] void throw_over_limit(const char* where, std::size_t count, const char* what,
+                                   std::size_t limit) {
+    throw SchedError(std::string("Dag::") + where + ": " + std::to_string(count) + " " +
+                     what + " exceed the limit of " + std::to_string(limit));
+}
+
 }  // namespace
 
-void Dag::reserve(std::size_t nodes, std::size_t edges) {
-    nodes_.reserve(nodes);
+void Dag::reserve(std::size_t nodes, std::size_t edges, std::size_t id_bytes) {
+    if (nodes > kMaxNodes) throw_over_limit("reserve", nodes, "nodes", kMaxNodes);
+    if (edges > kMaxEdges) throw_over_limit("reserve", edges, "edges", kMaxEdges);
+    if (id_bytes > kMaxIdBytes) {
+        throw_over_limit("reserve", id_bytes, "id bytes", kMaxIdBytes);
+    }
+    chars_.reserve(id_bytes);
+    id_ends_.reserve(nodes);
+    weights_.reserve(nodes);
     edges_.reserve(edges);
     const std::size_t capacity = std::bit_ceil(2 * nodes);
     if (capacity > ids_.size()) rehash(capacity);
@@ -64,83 +80,92 @@ void Dag::reserve(std::size_t nodes, std::size_t edges) {
 std::size_t Dag::find_slot(std::string_view id) const noexcept {
     const std::size_t mask = ids_.size() - 1;
     for (std::size_t at = id_hash(id) & mask;; at = (at + 1) & mask) {
-        const std::size_t entry = ids_[at];
-        if (entry == 0 || nodes_[entry - 1].id == id) return at;
+        const Index entry = ids_[at];
+        if (entry == 0 || id_at(entry - 1) == id) return at;
     }
 }
 
 void Dag::rehash(std::size_t capacity) {
-    std::vector<std::size_t> slots(capacity, 0);
+    std::vector<Index> slots(capacity, 0);
     const std::size_t mask = capacity - 1;
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        std::size_t at = id_hash(nodes_[i].id) & mask;
+    for (std::size_t i = 0; i < size(); ++i) {
+        std::size_t at = id_hash(id_at(i)) & mask;
         while (slots[at] != 0) at = (at + 1) & mask;
-        slots[at] = i + 1;
+        slots[at] = static_cast<Index>(i + 1);
     }
     ids_ = std::move(slots);
 }
 
-std::size_t Dag::add_node(std::string id, double weight) {
+std::size_t Dag::add_node(std::string_view id, double weight) {
     if (built_) throw SchedError("Dag::add_node: graph is already built");
     if (id.empty()) throw SchedError("Dag::add_node: node id must not be empty");
     if (!std::isfinite(weight) || weight < 0.0) {
-        throw SchedError("Dag::add_node: weight of '" + id +
+        throw SchedError("Dag::add_node: weight of '" + std::string(id) +
                          "' must be finite and >= 0");
     }
-    if (2 * (nodes_.size() + 1) > ids_.size()) {
+    if (size() == kMaxNodes) throw_over_limit("add_node", kMaxNodes + 1, "nodes", kMaxNodes);
+    if (id.size() > kMaxIdBytes - chars_.size()) {
+        throw_over_limit("add_node", chars_.size() + id.size(), "id bytes", kMaxIdBytes);
+    }
+    if (2 * (size() + 1) > ids_.size()) {
         rehash(std::max<std::size_t>(16, 2 * ids_.size()));
     }
     const std::size_t slot = find_slot(id);
     if (ids_[slot] != 0) {
-        throw SchedError("Dag::add_node: duplicate node id '" + id + "'");
+        throw SchedError("Dag::add_node: duplicate node id '" + std::string(id) + "'");
     }
-    nodes_.push_back(DagNode{std::move(id), weight});
-    ids_[slot] = nodes_.size();
-    return nodes_.size() - 1;
+    chars_.append(id);
+    id_ends_.push_back(static_cast<Index>(chars_.size()));
+    weights_.push_back(weight);
+    ids_[slot] = static_cast<Index>(size());
+    return size() - 1;
 }
 
 void Dag::add_edge(std::size_t from, std::size_t to) {
     if (built_) throw SchedError("Dag::add_edge: graph is already built");
-    if (from >= nodes_.size() || to >= nodes_.size()) {
+    if (from >= size() || to >= size()) {
         throw SchedError("Dag::add_edge: node index out of range (" +
                          std::to_string(from) + " -> " + std::to_string(to) +
-                         " with " + std::to_string(nodes_.size()) + " nodes)");
+                         " with " + std::to_string(size()) + " nodes)");
     }
     if (from == to) {
-        throw SchedError("Dag::add_edge: self-edge on '" + nodes_[from].id + "'");
+        throw SchedError("Dag::add_edge: self-edge on '" + std::string(id_at(from)) + "'");
     }
-    edges_.emplace_back(from, to);
+    if (edges_.size() == kMaxEdges) {
+        throw_over_limit("add_edge", kMaxEdges + 1, "edges", kMaxEdges);
+    }
+    edges_.emplace_back(static_cast<Index>(from), static_cast<Index>(to));
 }
 
 std::optional<std::size_t> Dag::index_of(std::string_view id) const {
     if (ids_.empty()) return std::nullopt;
-    const std::size_t entry = ids_[find_slot(id)];
+    const Index entry = ids_[find_slot(id)];
     if (entry == 0) return std::nullopt;
     return entry - 1;
 }
 
 void Dag::build() {
     if (built_) return;
-    const std::size_t n = nodes_.size();
+    const std::size_t n = size();
 
     // Both directions in insertion order, each repeated edge kept once.
-    std::vector<std::size_t> scratch;
+    std::vector<Index> scratch;
     lay_out(edges_, true, n, succs_.offsets, succs_.targets, scratch);
     lay_out(edges_, false, n, preds_.offsets, preds_.targets, scratch);
 
     // Kahn as a FIFO, with topo_ itself as the queue: sources in index
     // order, then each node as its last predecessor is dequeued.
-    std::vector<std::size_t>& indegree = scratch;
+    std::vector<Index>& indegree = scratch;
     for (std::size_t i = 0; i < n; ++i) {
         indegree[i] = preds_.offsets[i + 1] - preds_.offsets[i];
     }
     topo_.clear();
     topo_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
+    for (Index i = 0; i < n; ++i) {
         if (indegree[i] == 0) topo_.push_back(i);
     }
     for (std::size_t head = 0; head < topo_.size(); ++head) {
-        for (const std::size_t succ : succs_.row(topo_[head])) {
+        for (const Index succ : succs_.row(topo_[head])) {
             if (--indegree[succ] == 0) topo_.push_back(succ);
         }
     }
@@ -148,26 +173,32 @@ void Dag::build() {
         // Every unprocessed node sits on or behind a cycle. That set does
         // not depend on the order Kahn took; name its smallest id so the
         // diagnostic is stable.
-        std::string worst;
+        std::string_view worst;
         for (std::size_t i = 0; i < n; ++i) {
             if (indegree[i] == 0) continue;
-            if (worst.empty() || nodes_[i].id < worst) worst = nodes_[i].id;
+            if (worst.empty() || id_at(i) < worst) worst = id_at(i);
         }
-        throw SchedError("Dag::build: dependency cycle through node '" + worst +
-                         "'");
+        throw SchedError("Dag::build: dependency cycle through node '" +
+                         std::string(worst) + "'");
     }
+
+    // The graph is acyclic, so the staged list and the scratch are done
+    // with; freeing them first lets the levels reuse their memory.
+    // (`edges_ = {}` would only clear the list: the initializer-list
+    // assignment keeps the capacity.)
+    decltype(edges_)().swap(edges_);
+    decltype(scratch)().swap(scratch);
 
     // Critical-path levels in reverse topological order: each node's level
     // is its own weight plus the heaviest successor chain.
     levels_.assign(n, 0.0);
     for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
         double below = 0.0;
-        for (const std::size_t succ : succs_.row(*it)) {
+        for (const Index succ : succs_.row(*it)) {
             below = std::max(below, levels_[succ]);
         }
-        levels_[*it] = nodes_[*it].weight + below;
+        levels_[*it] = weights_[*it] + below;
     }
-    edges_ = {};
     built_ = true;
 }
 
@@ -183,26 +214,35 @@ void Dag::throw_out_of_range(std::size_t i) {
 namespace {
 
 /// Top-K offenders by degree, descending, ties broken by id so the
-/// diagnostics are deterministic. Ids are unique, so the order is total
-/// and a partial sort of node indices picks exactly the first K entries a
-/// full sort would; only those K ids are copied.
+/// diagnostics are deterministic. Ids are unique, so the order is total,
+/// and one pass that keeps the best K seen so far, sorted, ends holding
+/// exactly the first K entries a full sort would. A node that ranks below
+/// the K-th kept one costs one comparison; only the K listed ids are
+/// copied.
 template <typename DegreeOf>
 std::vector<DagMetrics::Offender> top_by_degree(const Dag& dag, std::size_t top_k,
                                                 DegreeOf degree_of) {
-    std::vector<std::size_t> order(dag.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    const auto k = static_cast<std::ptrdiff_t>(std::min(top_k, order.size()));
-    std::partial_sort(order.begin(), order.begin() + k, order.end(),
-                      [&](std::size_t a, std::size_t b) {
-                          const std::size_t da = degree_of(a);
-                          const std::size_t db = degree_of(b);
-                          if (da != db) return da > db;
-                          return dag.node(a).id < dag.node(b).id;
-                      });
+    struct Entry {
+        std::size_t degree;
+        std::size_t node;
+    };
+    const auto above = [&](const Entry& a, const Entry& b) {
+        if (a.degree != b.degree) return a.degree > b.degree;
+        return dag.id(a.node) < dag.id(b.node);
+    };
+    const std::size_t k = std::min(top_k, dag.size());
+    std::vector<Entry> best;  // best first
+    best.reserve(k + 1);
+    for (std::size_t i = 0; i < dag.size() && k > 0; ++i) {
+        const Entry entry{degree_of(i), i};
+        if (best.size() == k && !above(entry, best.back())) continue;
+        best.insert(std::upper_bound(best.begin(), best.end(), entry, above), entry);
+        if (best.size() > k) best.pop_back();
+    }
     std::vector<DagMetrics::Offender> top;
-    top.reserve(static_cast<std::size_t>(k));
-    for (auto it = order.begin(); it != order.begin() + k; ++it) {
-        top.push_back({dag.node(*it).id, degree_of(*it)});
+    top.reserve(best.size());
+    for (const Entry& entry : best) {
+        top.push_back({std::string(dag.id(entry.node)), entry.degree});
     }
     return top;
 }
@@ -217,12 +257,12 @@ DagMetrics compute_metrics(const Dag& dag, std::size_t top_k) {
 
     // Depth (node count on the longest path) in reverse topo order.
     const auto& topo = dag.topo_order();
-    std::vector<std::size_t> depth(dag.size(), 1);
+    std::vector<Index> depth(dag.size(), 1);
     for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-        for (const std::size_t succ : dag.succs(*it)) {
-            depth[*it] = std::max(depth[*it], depth[succ] + 1);
+        for (const Index succ : dag.succs(*it)) {
+            depth[*it] = std::max<Index>(depth[*it], depth[succ] + 1);
         }
-        m.max_depth = std::max(m.max_depth, depth[*it]);
+        m.max_depth = std::max<std::size_t>(m.max_depth, depth[*it]);
     }
     for (std::size_t i = 0; i < dag.size(); ++i) {
         m.fanout_peak = std::max(m.fanout_peak, dag.succs(i).size());
@@ -240,7 +280,7 @@ DagMetrics compute_metrics(const Dag& dag, std::size_t top_k) {
     for (std::size_t i = 0; i < dag.size(); ++i) {
         if (!dag.preds(i).empty()) continue;
         if (!found || dag.level(i) > dag.level(at) ||
-            (dag.level(i) == dag.level(at) && dag.node(i).id < dag.node(at).id)) {
+            (dag.level(i) == dag.level(at) && dag.id(i) < dag.id(at))) {
             at = i;
             found = true;
         }
@@ -248,14 +288,13 @@ DagMetrics compute_metrics(const Dag& dag, std::size_t top_k) {
     if (found) {
         m.critical_path_weight = dag.level(at);
         for (;;) {
-            m.critical_path.push_back(dag.node(at).id);
+            m.critical_path.emplace_back(dag.id(at));
             const auto& succs = dag.succs(at);
             if (succs.empty()) break;
-            std::size_t next = succs.front();
-            for (const std::size_t succ : succs) {
+            Index next = succs.front();
+            for (const Index succ : succs) {
                 if (dag.level(succ) > dag.level(next) ||
-                    (dag.level(succ) == dag.level(next) &&
-                     dag.node(succ).id < dag.node(next).id)) {
+                    (dag.level(succ) == dag.level(next) && dag.id(succ) < dag.id(next))) {
                     next = succ;
                 }
             }
@@ -263,18 +302,6 @@ DagMetrics compute_metrics(const Dag& dag, std::size_t top_k) {
         }
     }
     return m;
-}
-
-DagBudget DagBudget::campaign_default() {
-    DagBudget b;
-    b.node_count_hard = 100003;  // CLI --fleets cap (100000) + the spine.
-    b.edge_count_hard = 200002;  // two edges per fleet node + the spine.
-    b.max_depth_hard = 64;       // the campaign spine is 4 deep; 64 leaves
-                                 // room for staged plans without letting a
-                                 // degenerate chain through.
-    b.node_count_soft = 10003;
-    b.fanout_peak_soft = 10000;
-    return b;
 }
 
 namespace {

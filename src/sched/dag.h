@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -35,14 +36,6 @@ public:
     using std::runtime_error::runtime_error;
 };
 
-/// One unit of work. `weight` is the node's estimated cost in arbitrary
-/// units (the campaign DAG uses simulated hours); it feeds the
-/// critical-path levels that order dispatch, never correctness.
-struct DagNode {
-    std::string id;
-    double weight = 1.0;
-};
-
 /// A directed acyclic dependency graph. add_node/add_edge accumulate,
 /// build() freezes: it lays the edges out once in flat successor and
 /// predecessor arrays, computes a deterministic topological order and
@@ -50,22 +43,41 @@ struct DagNode {
 /// frozen form (edge_count, succs, preds, level, topo_order) throw
 /// SchedError before build().
 ///
-/// Construction and build() are linear in nodes + edges, and a built DAG
-/// holds a fixed number of heap blocks whatever its size (plus any id too
-/// long for the string's inline buffer), so the 100003-node campaign the
-/// CLI accepts compiles, and is freed, at the same cost per node as a
-/// small one.
+/// Every stored node index is 32 bits wide (Index). A DAG holds at most
+/// kMaxNodes nodes, kMaxEdges added edges (repeats included) and
+/// kMaxIdBytes bytes of node ids in all; reserve, add_node and add_edge
+/// throw SchedError, before they allocate, at the call that would pass
+/// a limit, so no index can wrap.
+///
+/// Construction and build() are linear in nodes + edges. Node ids are
+/// kept end to end in one character arena, so a node's own entry is 12
+/// bytes (its id's end offset and its weight) plus its id's characters,
+/// and a built DAG holds ten heap blocks at most, whatever its size and
+/// its ids. The 100003-node campaign the CLI accepts compiles, and is
+/// freed, at the same cost per node as a small one.
 class Dag {
 public:
-    /// Sizes the node table and the id index for `nodes` nodes and the
-    /// edge list for `edges` edges, so adding them neither reallocates nor
-    /// rehashes. Optional; never changes results.
-    void reserve(std::size_t nodes, std::size_t edges = 0);
+    /// The stored width of a node index.
+    using Index = std::uint32_t;
+    /// Id-index slots hold index + 1, and the largest Index is kept free
+    /// as a scratch mark.
+    static constexpr std::size_t kMaxNodes = std::numeric_limits<Index>::max() - 1;
+    /// Edge offsets are Index values too.
+    static constexpr std::size_t kMaxEdges = std::numeric_limits<Index>::max();
+    /// The arena's end offsets are Index values.
+    static constexpr std::size_t kMaxIdBytes = std::numeric_limits<Index>::max();
+
+    /// Sizes the node arrays and the id index for `nodes` nodes, the edge
+    /// list for `edges` edges and the id arena for `id_bytes` characters,
+    /// so adding them neither reallocates nor rehashes. Optional; never
+    /// changes results. Throws SchedError, allocating nothing, when a
+    /// count is past its limit.
+    void reserve(std::size_t nodes, std::size_t edges = 0, std::size_t id_bytes = 0);
 
     /// Adds a node and returns its index. Ids must be unique and
-    /// non-empty; weight must be finite and >= 0. A rejected node leaves
-    /// no trace.
-    std::size_t add_node(std::string id, double weight = 1.0);
+    /// non-empty, and may hold any bytes; weight must be finite and >= 0.
+    /// A rejected node leaves no trace.
+    std::size_t add_node(std::string_view id, double weight = 1.0);
 
     /// Declares "`from` must finish before `to` may start". Self-edges and
     /// out-of-range indices are rejected at once; anything else is only
@@ -77,13 +89,22 @@ public:
     /// leaves the graph unbuilt. Idempotent.
     void build();
 
-    [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
+    [[nodiscard]] std::size_t size() const noexcept { return weights_.size(); }
     /// The number of distinct edges. Requires build().
     [[nodiscard]] std::size_t edge_count() const {
         require_built("edge_count");
         return succs_.targets.size();
     }
-    [[nodiscard]] const DagNode& node(std::size_t i) const { return nodes_.at(i); }
+    /// Node i's id, a view into the DAG's arena that stays valid until
+    /// the next add_node. Throws std::out_of_range past the last node.
+    [[nodiscard]] std::string_view id(std::size_t i) const {
+        if (i >= size()) throw_out_of_range(i);
+        return id_at(i);
+    }
+    /// Node i's weight: its estimated cost in arbitrary units (the
+    /// campaign DAG uses simulated hours). It feeds the critical-path
+    /// levels that order dispatch, never correctness.
+    [[nodiscard]] double weight(std::size_t i) const { return weights_.at(i); }
     /// The index of the node named `id`: one hashed lookup, no copy of
     /// `id`. Valid before and after build(). The index is only ever
     /// looked up, never iterated, so topological order and diagnostics do
@@ -93,11 +114,11 @@ public:
     /// Node i's distinct predecessors / successors, each in the order its
     /// edge was first added. Require build(); the spans stay valid for
     /// the DAG's lifetime.
-    [[nodiscard]] std::span<const std::size_t> preds(std::size_t i) const {
+    [[nodiscard]] std::span<const Index> preds(std::size_t i) const {
         require_built("preds");
         return preds_.row(i);
     }
-    [[nodiscard]] std::span<const std::size_t> succs(std::size_t i) const {
+    [[nodiscard]] std::span<const Index> succs(std::size_t i) const {
         require_built("succs");
         return succs_.row(i);
     }
@@ -115,7 +136,7 @@ public:
     /// its predecessors is dequeued, in successor-list order. The order
     /// depends only on the nodes and the order the edges were added,
     /// never on hashing or timing.
-    [[nodiscard]] const std::vector<std::size_t>& topo_order() const {
+    [[nodiscard]] const std::vector<Index>& topo_order() const {
         require_built("topo_order");
         return topo_;
     }
@@ -124,14 +145,14 @@ private:
     /// One direction of the frozen adjacency, in compressed sparse rows:
     /// node i's list is targets[offsets[i] .. offsets[i + 1]).
     struct Adjacency {
-        std::vector<std::size_t> offsets;
-        std::vector<std::size_t> targets;
+        std::vector<Index> offsets;
+        std::vector<Index> targets;
 
         /// Node i's list; throws std::out_of_range past the last node.
-        [[nodiscard]] std::span<const std::size_t> row(std::size_t i) const {
+        [[nodiscard]] std::span<const Index> row(std::size_t i) const {
             // offsets holds one entry per node, plus one.
             if (i >= offsets.size() - 1) throw_out_of_range(i);
-            return {targets.data() + offsets[i], offsets[i + 1] - offsets[i]};
+            return {targets.data() + offsets[i], targets.data() + offsets[i + 1]};
         }
     };
 
@@ -140,22 +161,30 @@ private:
     }
     [[noreturn]] static void throw_unbuilt(const char* what);
     [[noreturn]] static void throw_out_of_range(std::size_t i);
+    /// Node i's id, unchecked: it begins where node i - 1's ends.
+    [[nodiscard]] std::string_view id_at(std::size_t i) const noexcept {
+        const std::size_t begin = i == 0 ? 0 : id_ends_[i - 1];
+        return {chars_.data() + begin, id_ends_[i] - begin};
+    }
     /// The id-index slot holding `id`, or the empty slot where it belongs.
     [[nodiscard]] std::size_t find_slot(std::string_view id) const noexcept;
     /// Rebuilds the id index with `capacity` slots (a power of two).
     void rehash(std::size_t capacity);
 
-    std::vector<DagNode> nodes_;
+    /// Every node id, end to end; node i's ends at id_ends_[i].
+    std::string chars_;
+    std::vector<Index> id_ends_;
+    std::vector<double> weights_;
     /// Open-addressed id index with linear probing: each slot holds a node
     /// index + 1, or 0 when empty. The capacity is a power of two at least
     /// twice the node count, so every probe sequence ends at an empty slot.
-    std::vector<std::size_t> ids_;
+    std::vector<Index> ids_;
     /// The edges as added, (from, to); build() lays them out and frees them.
-    std::vector<std::pair<std::size_t, std::size_t>> edges_;
+    std::vector<std::pair<Index, Index>> edges_;
     Adjacency succs_;
     Adjacency preds_;
     std::vector<double> levels_;
-    std::vector<std::size_t> topo_;
+    std::vector<Index> topo_;
     bool built_ = false;
 };
 
@@ -193,8 +222,22 @@ struct DagBudget {
     /// The default for campaign DAGs: hard caps aligned with the CLI's
     /// --fleets ceiling (100000 fleets -> 100003 nodes, two edges per
     /// fleet node plus the spine), soft warnings an order below.
-    [[nodiscard]] static DagBudget campaign_default();
+    [[nodiscard]] static constexpr DagBudget campaign_default() {
+        DagBudget b;
+        b.node_count_hard = 100003;  // CLI --fleets cap (100000) + the spine.
+        b.edge_count_hard = 200002;  // two edges per fleet node + the spine.
+        b.max_depth_hard = 64;       // the campaign spine is 4 deep; 64 leaves
+                                     // room for staged plans without letting a
+                                     // degenerate chain through.
+        b.node_count_soft = 10003;
+        b.fanout_peak_soft = 10000;
+        return b;
+    }
 };
+
+// Every campaign the default budget admits fits Dag's 32-bit indices.
+static_assert(DagBudget::campaign_default().node_count_hard <= Dag::kMaxNodes &&
+              DagBudget::campaign_default().edge_count_hard <= Dag::kMaxEdges);
 
 struct BudgetCheck {
     bool passed = true;

@@ -1,5 +1,7 @@
 #include "sched/plan.h"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <charconv>
 #include <filesystem>
@@ -29,29 +31,43 @@ std::uint64_t plan_u64(const qrn::json::Value& value, const std::string& what) {
     throw SchedError("campaign plan field '" + what + "' is negative");
 }
 
+constexpr std::string_view kFleetPrefix = "fleet-";
+
+/// Room for the longest fleet node id: "fleet-" and the 20 digits of the
+/// largest std::uint64_t.
+using FleetIdBuffer = std::array<char, 26>;
+
+/// Spells fleet `fleet_index`'s node id at the end of `out` and returns
+/// it: "fleet-", then the index zero-padded to at least five digits.
+std::string_view spell_fleet_id(std::uint64_t fleet_index, FleetIdBuffer& out) {
+    char* const end = out.data() + out.size();
+    char* at = end;
+    do {
+        *--at = static_cast<char>('0' + fleet_index % 10);
+        fleet_index /= 10;
+    } while (fleet_index != 0);
+    while (end - at < 5) *--at = '0';
+    at -= kFleetPrefix.size();
+    std::copy(kFleetPrefix.begin(), kFleetPrefix.end(), at);
+    return {at, static_cast<std::size_t>(end - at)};
+}
+
 }  // namespace
 
 std::string plan_node_id(std::uint64_t fleet_index) {
-    constexpr std::string_view prefix = "fleet-";
-    char digits[20];  // std::uint64_t has at most 20 digits
-    const std::size_t count = static_cast<std::size_t>(
-        std::to_chars(digits, digits + sizeof digits, fleet_index).ptr - digits);
-    const std::size_t pad = count < 5 ? 5 - count : 0;
-    std::string id;
-    id.reserve(prefix.size() + pad + count);
-    id.append(prefix).append(pad, '0').append(digits, count);
-    return id;
+    FleetIdBuffer buffer;
+    return std::string(spell_fleet_id(fleet_index, buffer));
 }
 
 std::optional<std::uint64_t> fleet_index_of(std::string_view id) {
-    constexpr std::string_view prefix = "fleet-";
-    if (!id.starts_with(prefix)) return std::nullopt;
-    const std::string_view digits = id.substr(prefix.size());
+    if (!id.starts_with(kFleetPrefix)) return std::nullopt;
+    const std::string_view digits = id.substr(kFleetPrefix.size());
     std::uint64_t value = 0;
     const auto [end, error] =
         std::from_chars(digits.data(), digits.data() + digits.size(), value);
+    FleetIdBuffer buffer;
     if (error != std::errc() || end != digits.data() + digits.size() ||
-        plan_node_id(value) != id) {
+        spell_fleet_id(value, buffer) != id) {
         return std::nullopt;
     }
     return value;
@@ -250,14 +266,21 @@ std::optional<CampaignPlan> read_plan(const std::string& store_dir) {
 }
 
 Dag build_campaign_dag(const CampaignPlan& plan) {
+    const std::size_t fleets = plan.nodes.size();
+    FleetIdBuffer buffer;
+    // In fleet order the last fleet's id is the longest.
+    const std::size_t fleet_id_bytes =
+        fleets == 0 ? 0 : spell_fleet_id(plan.nodes.back().fleet_index, buffer).size();
     Dag dag;
-    dag.reserve(plan.nodes.size() + 3, 2 * plan.nodes.size() + 1);
-    const std::size_t generate = dag.add_node(std::string(kGenerateNode), 1.0);
-    const std::size_t aggregate = dag.add_node(std::string(kAggregateNode), 1.0);
-    const std::size_t verify = dag.add_node(std::string(kVerifyNode), 1.0);
+    dag.reserve(fleets + 3, 2 * fleets + 1,
+                kGenerateNode.size() + kAggregateNode.size() + kVerifyNode.size() +
+                    fleets * fleet_id_bytes);
+    const std::size_t generate = dag.add_node(kGenerateNode, 1.0);
+    const std::size_t aggregate = dag.add_node(kAggregateNode, 1.0);
+    const std::size_t verify = dag.add_node(kVerifyNode, 1.0);
     for (const PlanNode& node : plan.nodes) {
-        const std::size_t fleet =
-            dag.add_node(plan_node_id(node.fleet_index), plan.hours_per_fleet);
+        const std::size_t fleet = dag.add_node(spell_fleet_id(node.fleet_index, buffer),
+                                               plan.hours_per_fleet);
         dag.add_edge(generate, fleet);
         dag.add_edge(fleet, aggregate);
     }

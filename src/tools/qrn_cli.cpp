@@ -657,6 +657,13 @@ int cmd_campaign(const Args& args) {
         const obs::ScopedSpan span("incident_labelling");
         agg = result.aggregate(types);
     } else {
+        // Opening a Store creates its directory, so a mistyped --resume
+        // path is refused before that, as the read-only store commands do.
+        std::error_code ec;
+        if (resume && !std::filesystem::is_directory(*store_dir, ec)) {
+            throw IoError("cannot --resume: no store directory '" + *store_dir +
+                          "' (run once with --store first)");
+        }
         store::Store st(*store_dir);
         if (resume && !st.manifest_found()) {
             throw IoError("cannot --resume: no store manifest in '" + *store_dir +

@@ -642,12 +642,25 @@ TEST(Cli, CampaignResumeFlagContract) {
     // --resume without --store is a usage error (exit 1)...
     EXPECT_EQ(run_cli("campaign --fleets 2 --hours 5 --resume").exit_code, 1);
     // ... and --resume against a store with no manifest is an I/O error
-    // (exit 3): there is nothing to resume from.
-    const auto fresh = run_cli_stderr("campaign --fleets 2 --hours 5 --store " + dir +
+    // (exit 3): there is nothing to resume from. A refused path is left
+    // as it was found: no directory is created, at any depth...
+    const std::string typo = store_dir("resume_typo");
+    for (const std::string& missing : {dir, typo + "/deep"}) {
+        const auto fresh = run_cli_stderr("campaign --fleets 2 --hours 5 --store " +
+                                          missing + " --resume");
+        EXPECT_EQ(fresh.exit_code, 3) << missing;
+        EXPECT_NE(fresh.output.find("cannot --resume"), std::string::npos)
+            << fresh.output;
+        EXPECT_FALSE(std::filesystem::exists(missing)) << missing;
+    }
+    EXPECT_FALSE(std::filesystem::exists(typo)) << typo;
+    // ... and an existing empty directory stays empty.
+    std::filesystem::create_directories(dir);
+    const auto empty = run_cli_stderr("campaign --fleets 2 --hours 5 --store " + dir +
                                       " --resume");
-    EXPECT_EQ(fresh.exit_code, 3);
-    EXPECT_NE(fresh.output.find("cannot --resume"), std::string::npos)
-        << fresh.output;
+    EXPECT_EQ(empty.exit_code, 3);
+    EXPECT_NE(empty.output.find("cannot --resume"), std::string::npos) << empty.output;
+    EXPECT_TRUE(std::filesystem::is_empty(dir)) << dir;
 
     // After any run with --store, --resume succeeds and stays byte-stable.
     const auto cold = run_cli("campaign --fleets 2 --hours 5 --store " + dir);

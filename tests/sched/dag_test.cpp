@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <set>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,7 +22,7 @@ namespace {
 
 using namespace qrn::sched;
 
-std::vector<std::size_t> as_vector(std::span<const std::size_t> list) {
+std::vector<std::size_t> as_vector(std::span<const std::uint32_t> list) {
     return {list.begin(), list.end()};
 }
 
@@ -52,14 +53,14 @@ TEST(Dag, TopoOrderIsDeterministicAndRespectsEdges) {
     for (std::size_t i = 0; i < dag.size(); ++i) {
         for (const std::size_t succ : dag.succs(i)) {
             EXPECT_LT(position[i], position[succ])
-                << dag.node(i).id << " must precede " << dag.node(succ).id;
+                << dag.id(i) << " must precede " << dag.id(succ);
         }
     }
     // FIFO Kahn: sources in index order, then each node as its last
     // predecessor is dequeued. The order is a pure function of the graph,
     // so two identical builds agree exactly.
     const std::vector<std::size_t> want{0, 1, 2, 3, 4};
-    EXPECT_EQ(topo, want);
+    EXPECT_EQ(as_vector(topo), want);
     const Dag again = diamond(10.0, 2.0);
     EXPECT_EQ(topo, again.topo_order());
 }
@@ -125,11 +126,36 @@ TEST(Dag, RejectsMalformedConstruction) {
     EXPECT_THROW((void)dag.preds(a), SchedError);
     EXPECT_THROW((void)dag.edge_count(), SchedError);
     EXPECT_THROW((void)dag.topo_order(), SchedError);
-    // Rejected nodes leave no trace in the id index.
+    // Rejected nodes leave no trace in the id index or the id arena.
     EXPECT_EQ(dag.size(), 1u);
+    EXPECT_EQ(dag.id(a), "a");
+    EXPECT_THROW((void)dag.id(1), std::out_of_range);
+    EXPECT_THROW((void)dag.weight(1), std::out_of_range);
     EXPECT_EQ(dag.index_of("a"), a);
     EXPECT_FALSE(dag.index_of("b").has_value());
     EXPECT_FALSE(dag.index_of("").has_value());
+}
+
+TEST(Dag, IndicesPastThirtyTwoBitsAreRejectedBeforeAllocating) {
+    // Every stored index is 32 bits wide; id-index slots hold index + 1.
+    static_assert(Dag::kMaxNodes == 0xFFFF'FFFEu && Dag::kMaxEdges == 0xFFFF'FFFFu);
+    // reserve() checks its counts before it allocates: asking for 2^32
+    // nodes or 2^32 edges throws instead of reaching for tens of GB.
+    constexpr std::size_t past = std::size_t{1} << 32;
+    Dag dag;
+    EXPECT_THROW(dag.reserve(past), SchedError);
+    EXPECT_THROW(dag.reserve(0, past), SchedError);
+    EXPECT_THROW(dag.reserve(0, 0, past), SchedError);
+    // The graph is untouched and still usable.
+    EXPECT_EQ(dag.size(), 0u);
+    EXPECT_FALSE(dag.index_of("a").has_value());
+    dag.reserve(2, 1, 2);
+    const auto a = dag.add_node("a");
+    const auto b = dag.add_node("b");
+    dag.add_edge(a, b);
+    dag.build();
+    EXPECT_EQ(dag.edge_count(), 1u);
+    EXPECT_EQ(as_vector(dag.succs(a)), std::vector<std::size_t>{b});
 }
 
 TEST(Dag, DuplicateEdgesStoreOnce) {
@@ -207,7 +233,7 @@ TEST(DagMetrics, TopOffendersMatchAFullSort) {
     const auto full_sort = [&](bool fanout, std::size_t k) {
         std::vector<Row> all;
         for (std::size_t i = 0; i < dag.size(); ++i) {
-            all.emplace_back(dag.node(i).id,
+            all.emplace_back(dag.id(i),
                              fanout ? dag.succs(i).size() : dag.preds(i).size());
         }
         std::sort(all.begin(), all.end(), [](const Row& a, const Row& b) {
@@ -227,10 +253,16 @@ TEST(DagMetrics, TopOffendersMatchAFullSort) {
     EXPECT_EQ(rows(compute_metrics(dag, 3).top_fanout), want);
 }
 
+/// One node as it is fed to a Dag.
+struct NodeSpec {
+    std::string id;
+    double weight = 1.0;
+};
+
 /// One random graph as it is fed to a Dag: nodes in add order, edges in
 /// add order (repeats and cycles included).
 struct GraphSpec {
-    std::vector<DagNode> nodes;
+    std::vector<NodeSpec> nodes;
     std::vector<std::pair<std::size_t, std::size_t>> edges;
 };
 
@@ -296,7 +328,7 @@ GraphSpec random_graph(qrn::stats::Rng& rng) {
 
 Dag make_dag(const GraphSpec& g) {
     Dag dag;
-    for (const DagNode& node : g.nodes) dag.add_node(node.id, node.weight);
+    for (const NodeSpec& node : g.nodes) dag.add_node(node.id, node.weight);
     for (const auto& [from, to] : g.edges) dag.add_edge(from, to);
     return dag;
 }
@@ -304,11 +336,54 @@ Dag make_dag(const GraphSpec& g) {
 TEST(Dag, FrozenGraphMatchesANaiveReference) {
     qrn::stats::Rng rng(0x5eedda6);
     std::size_t cyclic = 0;
+    std::size_t long_ids = 0;    // trials with an id past 15 bytes
+    std::size_t prefixes = 0;    // trials with an id that prefixes another
+    std::size_t nul_bytes = 0;   // trials with an id holding a NUL byte
     for (int trial = 0; trial < 200; ++trial) {
         SCOPED_TRACE("trial " + std::to_string(trial));
-        const GraphSpec g = random_graph(rng);
+        GraphSpec g = random_graph(rng);
         const std::size_t n = g.nodes.size();
         const auto id = [&](std::size_t i) { return g.nodes[i].id; };
+        // Every third trial, the largest id gets an embedded NUL byte and
+        // a tail. It stays the largest, so it never names a cycle (the
+        // diagnostic is a C string), and the arena must not stop at it.
+        std::string truncated;
+        if (trial % 3 == 0) {
+            auto& largest = *std::max_element(
+                g.nodes.begin(), g.nodes.end(),
+                [](const NodeSpec& a, const NodeSpec& b) { return a.id < b.id; });
+            truncated = largest.id;
+            largest.id += std::string("\0tail", 5);
+        }
+        std::vector<std::string> sorted_ids;
+        for (const NodeSpec& node : g.nodes) sorted_ids.push_back(node.id);
+        std::sort(sorted_ids.begin(), sorted_ids.end());
+        long_ids += std::any_of(sorted_ids.begin(), sorted_ids.end(),
+                                [](const std::string& s) { return s.size() > 15; })
+                        ? 1
+                        : 0;
+        for (std::size_t k = 0; k + 1 < n; ++k) {
+            if (sorted_ids[k + 1].starts_with(sorted_ids[k])) {
+                ++prefixes;
+                break;
+            }
+        }
+        nul_bytes += truncated.empty() ? 0 : 1;
+        // Every id and weight round-trips through the arena, bit for bit,
+        // and every id finds its own index.
+        const auto expect_arena = [&](const Dag& dag) {
+            ASSERT_EQ(dag.size(), n);
+            for (std::size_t i = 0; i < n; ++i) {
+                EXPECT_EQ(dag.id(i), id(i));
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(dag.weight(i)),
+                          std::bit_cast<std::uint64_t>(g.nodes[i].weight))
+                    << id(i);
+                EXPECT_EQ(dag.index_of(id(i)), i);
+            }
+            if (!truncated.empty()) {
+                EXPECT_FALSE(dag.index_of(truncated).has_value());
+            }
+        };
 
         // Distinct edges, each list in the order of its first occurrence.
         std::set<std::pair<std::size_t, std::size_t>> distinct;
@@ -336,6 +411,7 @@ TEST(Dag, FrozenGraphMatchesANaiveReference) {
         }
 
         Dag dag = make_dag(g);
+        expect_arena(dag);
         for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(dag.index_of(id(i)), i);
         for (const std::string& absent :
              {std::string(), std::string("v"), std::string("w0"), g.nodes[0].id + "x",
@@ -361,11 +437,13 @@ TEST(Dag, FrozenGraphMatchesANaiveReference) {
                 }
                 EXPECT_THROW((void)dag.edge_count(), SchedError);  // still unbuilt
             }
+            expect_arena(dag);
             continue;
         }
 
         dag.build();
         ASSERT_EQ(dag.size(), n);
+        expect_arena(dag);
         EXPECT_EQ(dag.edge_count(), distinct.size());
         for (std::size_t i = 0; i < n; ++i) {
             EXPECT_EQ(as_vector(dag.succs(i)), succs[i]) << id(i);
@@ -387,14 +465,14 @@ TEST(Dag, FrozenGraphMatchesANaiveReference) {
                 if (--waiting[succ] == 0) want_topo.push_back(succ);
             }
         }
-        const std::vector<std::size_t>& topo = dag.topo_order();
+        const std::vector<std::size_t> topo = as_vector(dag.topo_order());
         EXPECT_EQ(topo, want_topo);
         std::vector<std::size_t> position(n, n);
         for (std::size_t at = 0; at < topo.size(); ++at) position[topo[at]] = at;
         for (const auto& [from, to] : distinct) EXPECT_LT(position[from], position[to]);
         Dag again = make_dag(g);
         again.build();
-        EXPECT_EQ(again.topo_order(), topo);
+        EXPECT_EQ(as_vector(again.topo_order()), topo);
 
         // Levels and depths by memoized depth-first search.
         std::vector<double> level(n, -1.0);
@@ -472,9 +550,12 @@ TEST(Dag, FrozenGraphMatchesANaiveReference) {
             EXPECT_EQ(m.critical_path, path);
         }
     }
-    // The seed must exercise both outcomes.
+    // The seed must exercise both outcomes, and every kind of id.
     EXPECT_GT(cyclic, 10u);
     EXPECT_LT(cyclic, 100u);
+    EXPECT_GT(long_ids, 10u);
+    EXPECT_GT(prefixes, 10u);
+    EXPECT_GT(nul_bytes, 10u);
 }
 
 TEST(DagBudget, HardLimitFailsSoftLimitWarns) {

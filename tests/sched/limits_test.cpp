@@ -3,7 +3,14 @@
 // per-fleet index lookups, metrics and the default budget check. Built as
 // its own binary so ctest can give it a wall-clock TIMEOUT; a step that
 // grows faster than linearly in the fleet count fails by timing out.
+// The binary also counts the bytes every operator new asks for, so the
+// memory a built DAG keeps is pinned too.
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <new>  // qrn-lint: allow(naked-new) the header of std::bad_alloc, not an allocation
 #include <string>
 
 #include <gtest/gtest.h>
@@ -13,20 +20,51 @@
 
 namespace {
 
+/// Bytes requested and not yet freed: what live containers' capacities
+/// add up to. Each block carries its size in a header.
+std::atomic<std::size_t> g_live_bytes{0};
+constexpr std::size_t kHeader = alignof(std::max_align_t);
+
+}  // namespace
+
+void* operator new(std::size_t bytes) {
+    void* block = std::malloc(bytes + kHeader);
+    if (block == nullptr) throw std::bad_alloc();
+    std::memcpy(block, &bytes, sizeof bytes);
+    g_live_bytes.fetch_add(bytes, std::memory_order_relaxed);
+    return static_cast<char*>(block) + kHeader;
+}
+
+void operator delete(void* p) noexcept {
+    if (p == nullptr) return;
+    void* block = static_cast<char*>(p) - kHeader;
+    std::size_t bytes = 0;
+    std::memcpy(&bytes, block, sizeof bytes);
+    g_live_bytes.fetch_sub(bytes, std::memory_order_relaxed);
+    std::free(block);
+}
+
+void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
+
+namespace {
+
 using namespace qrn::sched;
 
 constexpr std::uint64_t kMaxFleets = 100000;  // the CLI's --fleets ceiling
 
-TEST(SchedLimits, LargestAcceptedCampaignCompilesInBoundedTime) {
+CampaignPlan campaign_plan(std::uint64_t fleets) {
     CampaignPlan shape;
     shape.policy = "nominal";
     shape.odd = "urban";
     shape.seed = 7;
-    shape.fleets = kMaxFleets;
+    shape.fleets = fleets;
     shape.hours_per_fleet = 1.0;
-    const CampaignPlan plan = make_plan(shape.policy, shape.odd,
-                                        config_from_plan(shape),
-                                        campaign_inputs_digest());
+    return make_plan(shape.policy, shape.odd, config_from_plan(shape),
+                     campaign_inputs_digest());
+}
+
+TEST(SchedLimits, LargestAcceptedCampaignCompilesInBoundedTime) {
+    const CampaignPlan plan = campaign_plan(kMaxFleets);
     ASSERT_EQ(plan.nodes.size(), kMaxFleets);
 
     const Dag dag = build_campaign_dag(plan);
@@ -60,6 +98,21 @@ TEST(SchedLimits, LargestAcceptedCampaignCompilesInBoundedTime) {
         << check.diagnostics;
     EXPECT_EQ(check.diagnostics.find("over budget"), std::string::npos)
         << check.diagnostics;
+}
+
+TEST(SchedLimits, BuiltCampaignDagKeepsAtMostEightyBytesPerNode) {
+    // 32-bit indices, one id arena, and the staged edge list freed by
+    // build(): 12 bytes of id end and weight, the id's 11 characters, 24
+    // of adjacency, 12 of level and topological slot, and at most 16 of
+    // id-index slots. 1000 and 5000 fleets sit at different id-index
+    // loads.
+    for (const std::uint64_t fleets : {std::uint64_t{1000}, std::uint64_t{5000}}) {
+        const CampaignPlan plan = campaign_plan(fleets);
+        const std::size_t before = g_live_bytes.load();
+        const Dag dag = build_campaign_dag(plan);
+        const std::size_t kept = g_live_bytes.load() - before;
+        EXPECT_LE(kept, 80 * dag.size()) << fleets << " fleets";
+    }
 }
 
 }  // namespace

@@ -246,7 +246,8 @@ TEST(Plan, CampaignDagHasTheDocumentedShape) {
     for (const PlanNode& node : plan.nodes) {
         const auto fleet = dag.index_of(plan_node_id(node.fleet_index));
         ASSERT_TRUE(fleet.has_value());
-        EXPECT_DOUBLE_EQ(dag.node(*fleet).weight, plan.hours_per_fleet);
+        EXPECT_DOUBLE_EQ(dag.weight(*fleet), plan.hours_per_fleet);
+        EXPECT_EQ(dag.id(*fleet), plan_node_id(node.fleet_index));
         ASSERT_EQ(dag.preds(*fleet).size(), 1u);
         EXPECT_EQ(dag.preds(*fleet).front(), generate);
         ASSERT_EQ(dag.succs(*fleet).size(), 1u);
