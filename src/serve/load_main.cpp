@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <chrono>
-// qrn-lint: allow(iostream-in-lib) CLI entry point: stdout/stderr is the product surface
 #include <iostream>
 #include <optional>
 #include <string>

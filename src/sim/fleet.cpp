@@ -184,8 +184,8 @@ void FleetSimulator::run_stretch(std::size_t index, double stretch, Environment 
         // to per-kind sample_count calls), into the chunk-owned scratch.
         sampler.sample_counts(env, stretch, rng, scratch.encounter_counts);
 
-        // qrn:hotloop(begin) -- the campaign inner loop: no per-iteration
-        // heap allocation is permitted here (enforced by qrn-lint).
+        // The campaign inner loop: nothing here, nor in what it calls, may
+        // allocate per encounter (alloc_tests counts operator new calls).
         for (std::size_t kind_index = 0; kind_index < kEncounterKindCount; ++kind_index) {
             const EncounterKind kind = encounter_kind_from_index(kind_index);
             const std::uint64_t count = scratch.encounter_counts[kind_index];
@@ -234,7 +234,6 @@ void FleetSimulator::run_stretch(std::size_t index, double stretch, Environment 
                 }
             }
         }
-        // qrn:hotloop(end)
     }
 }
 

@@ -31,15 +31,18 @@
 //                                    compile the campaign into a work DAG
 //                                    (generate -> fleet-i -> aggregate ->
 //                                    verify) whose node identities are the
-//                                    shards' content keys, write the plan
-//                                    to DIR/sched/plan.json, and dispatch
-//                                    fleet nodes to N worker processes
-//                                    (default 2) coordinating purely
-//                                    through lease files in the store.
-//                                    Expired leases are stolen after
-//                                    --sched-ttl-ms (default 10000); a DAG
-//                                    larger than --sched-max-nodes is
-//                                    rejected with diagnostics (exit 1).
+//                                    shards' content keys; a DAG larger
+//                                    than --sched-max-nodes is rejected
+//                                    with diagnostics (exit 1) and writes
+//                                    nothing to DIR/sched. Then write the
+//                                    plan to DIR/sched/plan.json and
+//                                    dispatch fleet nodes to N worker
+//                                    processes (default 2) coordinating
+//                                    purely through lease files in the
+//                                    store. Expired leases are stolen
+//                                    after --sched-ttl-ms (default
+//                                    10000). The three flags are usage
+//                                    errors without --distributed.
 //                                    The workers seal the shards; the run
 //                                    then checks that every plan node's
 //                                    shard is listed under its plan key
@@ -71,7 +74,8 @@
 //                                    increasing severities; N trials run
 //                                    per level (default 1000). Mutually
 //                                    exclusive with --fleets/--hours/
-//                                    --store/--resume; stdout is
+//                                    --store/--resume and the
+//                                    --distributed flags; stdout is
 //                                    bit-identical for every --jobs.
 //   pipeline [--hours H] [--markdown] [--jobs N]
 //                                    full demo: allocate, simulate, verify,
@@ -147,7 +151,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-// qrn-lint: allow(iostream-in-lib) CLI entry point: stdout/stderr is the product surface
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -513,9 +516,11 @@ int cmd_campaign_splitting(const Args& args, const std::string& levels_text) {
     config.seed = fleet.seed;
     const unsigned jobs = parse_jobs(args);
     // Splitting replaces the fleet/hours exposure plan and never touches
-    // the shard cache; naming the conflicts keeps a scripted campaign from
-    // silently running something other than what its flags promised.
-    for (const char* flag : {"--fleets", "--hours", "--store", "--resume"}) {
+    // the shard cache or the coordinator; naming the conflicts keeps a
+    // scripted campaign from silently running something other than what
+    // its flags promised.
+    for (const char* flag : {"--fleets", "--hours", "--store", "--resume", "--distributed",
+                             "--workers", "--sched-ttl-ms", "--sched-max-nodes"}) {
         if (args.has(flag)) {
             throw ParseError(flag, "",
                              "no " + std::string(flag) +
@@ -626,6 +631,14 @@ int cmd_campaign(const Args& args) {
         throw ParseError("--resume", "", "--store DIR alongside --resume");
     }
     const bool distributed = args.has("--distributed");
+    // The coordinator's flags configure nothing else: a local run that
+    // accepted one would not be the run its command line asked for.
+    for (const char* flag : {"--workers", "--sched-ttl-ms", "--sched-max-nodes"}) {
+        if (!distributed && args.has(flag)) {
+            throw ParseError(flag, args.option(flag).value_or(""),
+                             std::string(flag) + " only alongside --distributed");
+        }
+    }
     sched::CoordinatorConfig coord;
     sched::DagBudget budget = sched::DagBudget::campaign_default();
     if (distributed) {
@@ -680,9 +693,14 @@ int cmd_campaign(const Args& args) {
             {
                 const obs::ScopedSpan span("sched_compile");
                 plan = sched::make_plan(policy_name, odd_name, config, inputs_digest);
-                // The "generate" node: the plan is written exactly once per
-                // store; a rerun must describe the same campaign, or the
-                // shards would lie.
+                dag = sched::build_campaign_dag(plan);
+                const sched::BudgetCheck check =
+                    sched::check_budget(sched::compute_metrics(dag), budget);
+                if (!check.diagnostics.empty()) std::cerr << check.diagnostics;
+                if (!check.passed) return 1;
+                // The "generate" node: only a campaign within budget writes
+                // its plan, exactly once per store; a rerun must describe
+                // the same campaign, or the shards would lie.
                 if (const auto existing = sched::read_plan(*store_dir)) {
                     if (!(*existing == plan)) {
                         throw sched::SchedError(
@@ -694,11 +712,6 @@ int cmd_campaign(const Args& args) {
                 } else {
                     sched::write_plan(*store_dir, plan);
                 }
-                dag = sched::build_campaign_dag(plan);
-                const sched::BudgetCheck check =
-                    sched::check_budget(sched::compute_metrics(dag), budget);
-                if (!check.diagnostics.empty()) std::cerr << check.diagnostics;
-                if (!check.passed) return 1;
             }
 
             sched::CoordinatorStats stats;

@@ -34,7 +34,6 @@
 //      missing from the current run
 //   3  I/O error: an input file cannot be opened or read
 #include <fstream>
-// qrn-lint: allow(iostream-in-lib) CLI entry point: stdout/stderr is the product surface
 #include <iostream>
 #include <optional>
 #include <sstream>

@@ -31,7 +31,6 @@ CommandResult run_pipe(const std::string& command) {
     CommandResult result;
     std::array<char, 4096> buffer{};
     std::size_t n = 0;
-    // qrn-lint: allow(raw-file-io) draining a popen pipe of a spawned CLI, not a shard
     while ((n = fread(buffer.data(), 1, buffer.size(), pipe)) > 0) {
         result.output.append(buffer.data(), n);
     }
@@ -259,6 +258,23 @@ TEST(Cli, MalformedArgvMatrix) {
         {"campaign --fleets 2 --hours 5 --store qrn-cli-never-created "
          "--distributed --workers",
          "--workers", "a value", false},
+        // the coordinator's flags: without --distributed they would
+        // configure nothing, so a local run never silently ignores them
+        {"campaign --fleets 2 --hours 1 --workers 4 --sched-max-nodes 1", "--workers",
+         "only alongside --distributed", true},
+        {"campaign --fleets 2 --hours 1 --store qrn-cli-never-created "
+         "--sched-max-nodes 1",
+         "--sched-max-nodes", "'1'", true},
+        {"campaign --fleets 2 --hours 1 --sched-ttl-ms 500", "--sched-ttl-ms", "'500'",
+         true},
+        // ... nor does a splitting campaign, which runs no coordinator
+        {"campaign --splitting 40,120 --workers 3", "--workers", "--splitting mode", true},
+        {"campaign --splitting 40,120 --sched-ttl-ms 500", "--sched-ttl-ms",
+         "--splitting mode", true},
+        {"campaign --splitting 40,120 --sched-max-nodes 9", "--sched-max-nodes",
+         "--splitting mode", true},
+        {"campaign --splitting 40,120 --distributed", "--distributed",
+         "--splitting mode", true},
     };
     for (const auto& bad : matrix) {
         if (bad.accepts_jobs) {
@@ -268,6 +284,8 @@ TEST(Cli, MalformedArgvMatrix) {
             expect_one_line_parse_error(bad.args, bad);
         }
     }
+    // Every row fails while parsing argv, before a store is opened.
+    EXPECT_FALSE(std::filesystem::exists("qrn-cli-never-created"));
 }
 
 TEST(Cli, MalformedEvidenceJsonMatrix) {
@@ -761,6 +779,27 @@ TEST(Cli, DistributedMetricsTimeCompileThenDispatchThenLabelling) {
     std::remove(metrics_path.c_str());
     std::filesystem::remove_all(dir);
     std::filesystem::remove_all(plain_dir);
+}
+
+TEST(Cli, BudgetRejectedDistributedCampaignWritesNoPlan) {
+    // The DAG budget is checked on the plan in memory, before the plan is
+    // written: a rejected campaign leaves no sched/ behind, so the
+    // corrected campaign in the same store is not refused as a different
+    // one.
+    const std::string dir = store_dir("budget_rejected");
+    const std::string args = " --hours 1 --seed 7";
+    EXPECT_EQ(run_cli("campaign --fleets 2000" + args + " --distributed --store " + dir +
+                      " --sched-max-nodes 3")
+                  .exit_code,
+              1);
+    EXPECT_FALSE(std::filesystem::exists(dir + "/sched"));
+    const auto memory = run_cli("campaign --fleets 2" + args);
+    ASSERT_EQ(memory.exit_code, 0);
+    const auto corrected =
+        run_cli("campaign --fleets 2" + args + " --distributed --store " + dir);
+    ASSERT_EQ(corrected.exit_code, 0);
+    EXPECT_EQ(corrected.output, memory.output);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Cli, StoreInspectVerifyMergeFlow) {

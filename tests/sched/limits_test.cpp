@@ -10,7 +10,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <new>  // qrn-lint: allow(naked-new) the header of std::bad_alloc, not an allocation
+#include <new>
 #include <string>
 
 #include <gtest/gtest.h>

@@ -35,7 +35,6 @@ public:
     ScriptedServer(std::string socket_path, std::vector<std::string> replies)
         : listener_(Socket::listen_unix(socket_path)),
           replies_(std::move(replies)) {
-        // qrn-lint: allow(thread-discipline) scripted test peer must serve concurrently with the blocking client under test
         thread_ = std::thread([this] { serve(); });
     }
 
@@ -71,7 +70,6 @@ private:
 
     Socket listener_;
     std::vector<std::string> replies_;
-    // qrn-lint: allow(thread-discipline) owning handle for the scripted peer above
     std::thread thread_;
     std::atomic<bool> stop_{false};
     std::atomic<std::uint64_t> requests_served_{0};

@@ -49,7 +49,6 @@ CommandResult run_cli(const std::string& arguments) {
     CommandResult result;
     std::array<char, 4096> buffer{};
     std::size_t n = 0;
-    // qrn-lint: allow(raw-file-io) draining a popen pipe of the spawned CLI, not a shard
     while ((n = fread(buffer.data(), 1, buffer.size(), pipe)) > 0) {
         result.output.append(buffer.data(), n);
     }

@@ -311,7 +311,6 @@ int run_perfdiff(const std::string& arguments) {
     FILE* pipe = popen(command.c_str(), "r");
     if (pipe == nullptr) throw std::runtime_error("popen failed");
     std::array<char, 256> buffer{};
-    // qrn-lint: allow(raw-file-io) draining a popen pipe of the spawned differ, not a shard
     while (fread(buffer.data(), 1, buffer.size(), pipe) > 0) {
     }
     const int status = pclose(pipe);
@@ -326,7 +325,6 @@ std::string run_perfdiff_output(const std::string& arguments) {
     std::string out;
     std::array<char, 256> buffer{};
     std::size_t n = 0;
-    // qrn-lint: allow(raw-file-io) draining a popen pipe of the spawned differ, not a shard
     while ((n = fread(buffer.data(), 1, buffer.size(), pipe)) > 0) {
         out.append(buffer.data(), n);
     }
