@@ -4,13 +4,12 @@
 // interval estimation - plus serial-vs-parallel campaign runs on the
 // qrn_exec thread pool.
 //
-// A plain google-benchmark binary. Run with
-// `--benchmark_out=FILE --benchmark_out_format=json` it writes the
-// library's JSON report, which qrn-perfdiff reads: the repo-root
-// BENCH_perf.json is the tracked baseline in that format, and CI gates
-// every PR against it (docs/OBSERVABILITY.md). google-benchmark exits
-// non-zero when it cannot open the output file, so a lost measurement is
-// loud.
+// A plain google-benchmark binary. CI builds it at the base commit and
+// at the change, and ci/perf_ab.py runs the two row by row
+// (`--benchmark_filter=^ROW$ --benchmark_format=json`) in BASE, CAND,
+// CAND, BASE blocks, failing on a row that regresses past its margin or
+// that the change cannot measure (docs/OBSERVABILITY.md). A change that
+// alters what a row measures renames the row.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>

@@ -10,10 +10,13 @@ the functions its entry points reach. -O0 matters: an optimizing build
 inlines a caller's only call and clones functions, so a function that is
 called can read as unlinked.
 
-Every strong text symbol (nm type T) of every lib*.a in the root build is
-compared with the union of the symbols of every executable in both builds
-outside tests/. The test binaries do not count: a function only a test
-calls is dead code to every user. A function a test cannot do without (a
+Every strong text symbol (nm type T) of every static library of the root
+build is compared with the union of the symbols of every program of both
+builds outside tests/. CMake's file-API codemodel names the libraries and
+programs each build defines now, so the archive or binary of a target
+deleted since an earlier build in WORK_DIR does not count. The test
+binaries do not count either: a function only a test calls is dead code
+to every user. A function a test cannot do without (a
 test seam, or the reference an optimized path is checked against) is kept
 by one line in ci/dead_symbols.allow: its mangled name, then a comment
 with the demangled name and the test that needs it.
@@ -24,6 +27,7 @@ cannot rot. Exit status: 0 when nothing was printed, 1 when something
 was, 2 on a usage error or a failed build. Needs python3, cmake and
 binutils (nm, c++filt).
 """
+import json
 import os
 import shutil
 import subprocess
@@ -32,10 +36,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ALLOWLIST = ROOT / "ci" / "dead_symbols.allow"
-ELF_MAGIC = b"\x7fELF"
+FILE_API = Path(".cmake", "api", "v1")
 
 
 def configure_and_build(source: Path, build: Path) -> bool:
+    query = build / FILE_API / "query" / "codemodel-v2"
+    query.parent.mkdir(parents=True, exist_ok=True)
+    query.touch()
     configure = [
         "cmake", "-S", str(source), "-B", str(build),
         "-DCMAKE_BUILD_TYPE=Debug",
@@ -52,19 +59,23 @@ def configure_and_build(source: Path, build: Path) -> bool:
     return True
 
 
-def executables(build: Path) -> list[Path]:
-    """Every ELF executable under `build`, minus tests/ and CMake's probes."""
+def artifacts(build: Path, kind: str) -> list[Path]:
+    """The built files of the `kind` targets (EXECUTABLE, STATIC_LIBRARY)
+    that `build` defines outside tests/, from the codemodel its last
+    configure wrote. A target excluded from the default build and never
+    built has no file and does not count."""
+    reply = build / FILE_API / "reply"
+    index = json.loads(max(reply.glob("index-*.json")).read_text())
+    model = json.loads(
+        (reply / index["reply"]["codemodel-v2"]["jsonFile"]).read_text())
     found = []
-    for directory, subdirs, files in os.walk(build):
-        subdirs[:] = [d for d in subdirs if d != "CMakeFiles"
-                      and not (Path(directory) == build and d == "tests")]
-        for name in files:
-            path = Path(directory) / name
-            if not os.access(path, os.X_OK):
-                continue
-            with open(path, "rb") as f:
-                if f.read(4) == ELF_MAGIC:
-                    found.append(path)
+    for ref in model["configurations"][0]["targets"]:
+        target = json.loads((reply / ref["jsonFile"]).read_text())
+        source = target["paths"]["source"]
+        if target["type"] != kind or source.split("/")[0] == "tests":
+            continue
+        found += [build / a["path"] for a in target.get("artifacts", [])
+                  if (build / a["path"]).is_file()]
     return sorted(found)
 
 
@@ -107,10 +118,11 @@ def main() -> int:
             print(f"dead_symbols: building {source} failed", file=sys.stderr)
             return 2
 
-    programs = executables(root_build) + executables(bench_build)
+    programs = (artifacts(root_build, "EXECUTABLE")
+                + artifacts(bench_build, "EXECUTABLE"))
     linked = {name for program in programs for _, name in nm(program)}
     defined = {}  # strong text symbol -> the archive that defines it
-    for archive in sorted(root_build.rglob("lib*.a")):
+    for archive in artifacts(root_build, "STATIC_LIBRARY"):
         for kind, name in nm(archive):
             if kind == "T":
                 defined[name] = archive.name

@@ -72,9 +72,7 @@ BANS = [
         {"src/store/": "the checksummed shard layer",
          "tests/cli/cli_test.cpp": "drains the popen pipe of a spawned qrn",
          "tests/serve/serve_e2e_test.cpp": "drains the popen pipe of a "
-                                           "spawned qrn",
-         "tests/tools/perfdiff_test.cpp": "drains the popen pipe of a spawned "
-                                          "qrn-perfdiff"}),
+                                           "spawned qrn"}),
     Ban("raw-fsync",
         r"f(data)?sync",
         "sync through store::sync_file or store::sync_directory",

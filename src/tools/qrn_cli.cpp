@@ -671,48 +671,52 @@ int cmd_campaign(const Args& args) {
         agg = result.aggregate(types);
     } else {
         // Opening a Store creates its directory, so a mistyped --resume
-        // path is refused before that, as the read-only store commands do.
+        // path is refused before that, as the read-only store commands do,
+        // and a distributed campaign is compiled and checked against its
+        // DAG budget before it: a rejected campaign leaves nothing behind.
         std::error_code ec;
         if (resume && !std::filesystem::is_directory(*store_dir, ec)) {
             throw IoError("cannot --resume: no store directory '" + *store_dir +
-                          "' (run once with --store first)");
-        }
-        store::Store st(*store_dir);
-        if (resume && !st.manifest_found()) {
-            throw IoError("cannot --resume: no store manifest in '" + *store_dir +
                           "' (run once with --store first)");
         }
         // The incident-type catalog is part of every cache key: evidence
         // computed against different types must never reuse each other's
         // shards.
         const std::string inputs_digest = sched::campaign_inputs_digest();
+        sched::CampaignPlan plan;
+        sched::Dag dag;
+        std::optional<obs::ScopedSpan> compile_span;
+        if (distributed) {
+            compile_span.emplace("sched_compile");
+            plan = sched::make_plan(policy_name, odd_name, config, inputs_digest);
+            dag = sched::build_campaign_dag(plan);
+            const sched::BudgetCheck check =
+                sched::check_budget(sched::compute_metrics(dag), budget);
+            if (!check.diagnostics.empty()) std::cerr << check.diagnostics;
+            if (!check.passed) return 1;
+        }
+        store::Store st(*store_dir);
+        if (resume && !st.manifest_found()) {
+            throw IoError("cannot --resume: no store manifest in '" + *store_dir +
+                          "' (run once with --store first)");
+        }
         std::vector<store::ShardEntry> sealed;
         if (distributed) {
-            sched::CampaignPlan plan;
-            sched::Dag dag;
-            {
-                const obs::ScopedSpan span("sched_compile");
-                plan = sched::make_plan(policy_name, odd_name, config, inputs_digest);
-                dag = sched::build_campaign_dag(plan);
-                const sched::BudgetCheck check =
-                    sched::check_budget(sched::compute_metrics(dag), budget);
-                if (!check.diagnostics.empty()) std::cerr << check.diagnostics;
-                if (!check.passed) return 1;
-                // The "generate" node: only a campaign within budget writes
-                // its plan, exactly once per store; a rerun must describe
-                // the same campaign, or the shards would lie.
-                if (const auto existing = sched::read_plan(*store_dir)) {
-                    if (!(*existing == plan)) {
-                        throw sched::SchedError(
-                            "store '" + *store_dir +
-                            "' already holds the plan of a different campaign; "
-                            "use a fresh --store directory (or matching flags) "
-                            "to resume");
-                    }
-                } else {
-                    sched::write_plan(*store_dir, plan);
+            // The "generate" node: only a campaign within budget writes its
+            // plan, exactly once per store; a rerun must describe the same
+            // campaign, or the shards would lie.
+            if (const auto existing = sched::read_plan(*store_dir)) {
+                if (!(*existing == plan)) {
+                    throw sched::SchedError(
+                        "store '" + *store_dir +
+                        "' already holds the plan of a different campaign; "
+                        "use a fresh --store directory (or matching flags) "
+                        "to resume");
                 }
+            } else {
+                sched::write_plan(*store_dir, plan);
             }
+            compile_span.reset();
 
             sched::CoordinatorStats stats;
             {

@@ -782,8 +782,8 @@ TEST(Cli, DistributedMetricsTimeCompileThenDispatchThenLabelling) {
 }
 
 TEST(Cli, BudgetRejectedDistributedCampaignWritesNoPlan) {
-    // The DAG budget is checked on the plan in memory, before the plan is
-    // written: a rejected campaign leaves no sched/ behind, so the
+    // The DAG budget is checked on the plan in memory, before the store
+    // is opened: a rejected campaign leaves no directory behind, so the
     // corrected campaign in the same store is not refused as a different
     // one.
     const std::string dir = store_dir("budget_rejected");
@@ -792,7 +792,7 @@ TEST(Cli, BudgetRejectedDistributedCampaignWritesNoPlan) {
                       " --sched-max-nodes 3")
                   .exit_code,
               1);
-    EXPECT_FALSE(std::filesystem::exists(dir + "/sched"));
+    EXPECT_FALSE(std::filesystem::exists(dir));
     const auto memory = run_cli("campaign --fleets 2" + args);
     ASSERT_EQ(memory.exit_code, 0);
     const auto corrected =

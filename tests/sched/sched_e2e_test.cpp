@@ -262,8 +262,8 @@ TEST(SchedE2e, OverBudgetDagIsRejectedAtExitOne) {
     EXPECT_EQ(rejected.exit_code, 1);
     EXPECT_NE(rejected.err.find("over budget"), std::string::npos)
         << rejected.err;
-    // Rejection happens before any work: nothing was sealed.
-    EXPECT_TRUE(shard_bytes(scratch + "/dist").empty());
+    // Rejection happens before any work: the store was not even created.
+    EXPECT_FALSE(std::filesystem::exists(scratch + "/dist"));
 }
 
 TEST(SchedE2e, StandaloneWorkerCompletesPlanAlone) {
@@ -305,16 +305,20 @@ TEST(SchedE2e, StandaloneWorkerCountsAStealOnlyAsASteal) {
 }
 
 TEST(SchedE2e, CoordinatorCountsRenewalsAndReleasesEveryLease) {
-    // A 3 ms TTL renews every millisecond, so every held lease is renewed
-    // while its worker process starts; the count reaches the manifest
-    // through CoordinatorStats once the renewal thread has been joined.
+    // A 3 ms TTL renews every millisecond. A 100000-hour fleet takes
+    // 0.13 s to simulate (RelWithDebInfo, 4-vCPU VM), so each lease is
+    // held for about 130 renewal periods: only a host that kept the
+    // renewal thread off the CPU for a whole fleet would see no renewal
+    // (a 20-hour fleet lasts about one period). The count reaches the
+    // manifest through CoordinatorStats once the renewal thread has been
+    // joined.
     const auto scratch = scratch_for("renewals");
     const std::string store = scratch + "/dist";
     const std::string metrics = scratch + "/coord-metrics.json";
-    auto args = distributed_args(store, "2");
-    for (const char* arg : {"--sched-ttl-ms", "3", "--metrics", metrics.c_str()}) {
-        args.push_back(arg);
-    }
+    const std::vector<std::string> args{
+        "campaign", "--fleets", kFleets, "--hours", "100000", "--seed", kSeed,
+        "--store", store, "--distributed", "--workers", "2",
+        "--sched-ttl-ms", "3", "--metrics", metrics};
     const RunResult dist = run_qrn(scratch, args);
     ASSERT_EQ(dist.exit_code, 0) << dist.err;
     std::map<std::string, double> counters;
