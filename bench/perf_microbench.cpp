@@ -17,8 +17,8 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "sched/claimer.h"
 #include "sched/plan.h"
-#include "sched/ready_queue.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "serve/service.h"
@@ -411,7 +411,7 @@ BENCHMARK(BM_ServeClassify)->Arg(512)->Arg(4096)->UseRealTime();
 /// shared prefix state plus the fleet index, finished by one lookup into
 /// the campaign's folded digest tail; the fold is a one-time cost per
 /// campaign that dominates the 1000-fleet row. Hashing the digest once per
-/// fleet again shows as a jump in both rows. BM_SchedDispatch below builds
+/// fleet again shows as a jump in both rows. BM_SchedCompile below builds
 /// its plan outside the timed loop and would not see it.
 void BM_MakePlan(benchmark::State& state) {
     sched::CampaignPlan shape;
@@ -430,15 +430,15 @@ void BM_MakePlan(benchmark::State& state) {
 }
 BENCHMARK(BM_MakePlan)->Arg(1000)->Arg(100000);
 
-/// The distributed coordinator's per-campaign scheduling overhead: compile
-/// a range(0)-fleet campaign into its work DAG (content keys, topo order,
-/// critical-path levels, budget metrics) and drain the ready queue in
-/// dispatch order, per fleet node. This is everything the coordinator does
-/// besides waiting on workers, so it bounds how small a shard can get
-/// before scheduling dominates simulation. The sizes run up to the
-/// 100000-fleet CLI ceiling, so a step that turns quadratic shows as a
-/// jump between rows.
-void BM_SchedDispatch(benchmark::State& state) {
+/// The distributed coordinator's per-campaign compile, per fleet node:
+/// build a range(0)-fleet campaign's work DAG (topo order, critical-path
+/// levels), its budget metrics, and the order the coordinator hands the
+/// fleet nodes out in. It excludes the claims themselves: each writes a
+/// lease with two fsyncs, and each completion removes one with a directory
+/// fsync, which costs far more than this whole row per node. The sizes
+/// run up to the 100000-fleet CLI ceiling, so a step that turns quadratic
+/// shows as a jump between rows.
+void BM_SchedCompile(benchmark::State& state) {
     sched::CampaignPlan shape;
     shape.policy = "nominal";
     shape.odd = "urban";
@@ -451,18 +451,11 @@ void BM_SchedDispatch(benchmark::State& state) {
     for (auto _ : state) {
         const sched::Dag dag = sched::build_campaign_dag(plan);
         benchmark::DoNotOptimize(sched::compute_metrics(dag));
-        sched::ReadyQueue ready;
-        for (const sched::PlanNode& node : plan.nodes) {
-            const auto i = *dag.index_of(sched::plan_node_id(node.fleet_index));
-            ready.push(sched::ReadyItem{i, dag.level(i)});
-        }
-        while (!ready.empty()) {
-            benchmark::DoNotOptimize(ready.pop());
-        }
+        benchmark::DoNotOptimize(sched::dispatch_order(plan, dag));
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_SchedDispatch)->Arg(100)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_SchedCompile)->Arg(100)->Arg(1000)->Arg(10000)->Arg(100000);
 
 }  // namespace
 

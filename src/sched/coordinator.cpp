@@ -17,7 +17,7 @@
 
 #include "exec/guarded.h"
 #include "obs/metrics.h"
-#include "sched/ready_queue.h"
+#include "sched/claimer.h"
 #include "store/campaign_store.h"
 #include "store/lease.h"
 #include "store/store.h"
@@ -236,29 +236,6 @@ void shutdown_workers(std::vector<WorkerProc>& workers) {
     }
 }
 
-struct Assignment {
-    std::size_t worker = 0;
-    ReadyItem item;
-};
-
-// qrn:dispatcher(begin)
-/// Pure pairing of idle workers with the heaviest ready nodes - the
-/// critical-path-first dispatch decision, free of any I/O or blocking
-/// call; the pipe writes happen outside this region.
-std::vector<Assignment> pick_assignments(const std::vector<WorkerProc>& workers,
-                                         ReadyQueue& ready) {
-    std::vector<Assignment> picks;
-    for (std::size_t w = 0; w < workers.size(); ++w) {
-        if (!workers[w].alive || workers[w].in_flight.has_value()) continue;
-        if (ready.empty()) break;
-        picks.push_back(Assignment{w, ready.pop()});
-    }
-    return picks;
-}
-// qrn:dispatcher(end)
-
-enum class NodeState { Unclaimed, Ready, InFlight, Done };
-
 }  // namespace
 
 CoordinatorStats run_coordinator(const CampaignPlan& plan, const Dag& dag,
@@ -269,65 +246,57 @@ CoordinatorStats run_coordinator(const CampaignPlan& plan, const Dag& dag,
     declare_sched_metrics();
 
     store::Store db(config.store_dir);
-    const std::string leases = lease_dir(config.store_dir);
     const std::string owner = "coord:" + std::to_string(::getpid());
 
     CoordinatorStats stats;
     stats.nodes_total = plan.fleets;
     if (obs::enabled()) obs::add_counter("sched.nodes_total", plan.fleets);
 
-    std::vector<NodeState> state(plan.fleets, NodeState::Unclaimed);
+    Claimer claimer(plan, config.store_dir, owner, config.lease_ttl_ms,
+                    dispatch_order(plan, dag));
+    LeaseBoard board(lease_dir(config.store_dir), owner, config.lease_ttl_ms);
     std::vector<unsigned> retries(plan.fleets, 0);
-    std::vector<double> priority(plan.fleets, 0.0);
-    for (std::uint64_t i = 0; i < plan.fleets; ++i) {
-        const std::optional<std::size_t> at = dag.index_of(plan_node_id(i));
-        if (!at) {
-            throw SchedError("run_coordinator: DAG has no node " +
-                             plan_node_id(i));
-        }
-        priority[i] = dag.level(*at);
-    }
-
     std::size_t done_count = 0;
-    // Verifies the node's shard against the plan key and records it in the
-    // store, which deletes any other shard of the fleet (this process is
-    // the store's single recorder). Returns false when the shard is absent
-    // or does not verify.
-    const auto try_finish = [&](std::uint64_t i) {
-        const store::FleetShard shard =
-            store::check_fleet_shard(config.store_dir, i, plan.nodes[i].key);
-        if (shard.state != store::ShardState::Sealed) return false;
+
+    // Records a sealed shard in the store, which deletes any other shard
+    // of the fleet (this process is the store's single recorder).
+    const auto record = [&](const store::FleetShard& shard) {
         db.record(shard.entry);
-        state[i] = NodeState::Done;
         ++done_count;
-        return true;
     };
 
-    // Resume sweep: anything already sealed (a previous run, or standalone
-    // workers that got here first) is done before we spawn anything.
-    for (std::uint64_t i = 0; i < plan.fleets; ++i) {
-        if (try_finish(i)) {
+    // The next node to run: nodes found sealed on the way (a previous run,
+    // or a standalone worker got there first) are recorded as reused, and
+    // a newly claimed lease goes on the board.
+    const auto next_to_run = [&] {
+        std::optional<Claim> claim = claimer.next();
+        for (; claim && claim->kind == Claim::Kind::Settled; claim = claimer.next()) {
+            record(claim->shard);
             ++stats.nodes_reused;
             if (obs::enabled()) obs::add_counter("sched.nodes_reused", 1);
         }
+        if (claim && claim->kind != Claim::Kind::Held) {
+            ++(claim->kind == Claim::Kind::Stolen ? stats.leases_stolen
+                                                  : stats.leases_acquired);
+            board.track(plan_node_id(claim->fleet), claim->generation);
+        }
+        return claim;
+    };
+
+    // Before any worker exists: a store that holds every shard already
+    // (a resume) is recorded whole, and nothing is spawned. Otherwise the
+    // first node to run waits, put back, for the first idle worker.
+    if (const std::optional<Claim> first = next_to_run()) {
+        claimer.put_back(first->fleet);
+    } else if (done_count == plan.fleets) {
+        return stats;
     }
-    if (done_count == plan.fleets) return stats;
 
     // A dead worker must not kill the coordinator via a stdin write.
     using SignalHandler = void (*)(int);
     const SignalHandler prior_sigpipe = std::signal(SIGPIPE, SIG_IGN);
 
-    LeaseBoard board(leases, owner, config.lease_ttl_ms);
     board.start();
-    // The renewal count is the board's own; it is read once the renewer
-    // has been joined.
-    const auto stop_board = [&] {
-        stats.leases_renewed = board.stop();
-        if (obs::enabled()) {
-            obs::add_counter("sched.leases_renewed", stats.leases_renewed);
-        }
-    };
-
     const ExecSpec spec(config);
     std::vector<WorkerProc> workers(config.workers);
     for (WorkerProc& worker : workers) {
@@ -336,39 +305,13 @@ CoordinatorStats run_coordinator(const CampaignPlan& plan, const Dag& dag,
             if (obs::enabled()) obs::add_counter("sched.workers_spawned", 1);
         }
     }
-
-    ReadyQueue ready;
-
-    // Claims what can be claimed: finishes nodes sealed by others, leases
-    // free nodes, steals expired leases, defers to live foreign leases.
-    const auto claim_scan = [&] {
-        for (std::uint64_t i = 0; i < plan.fleets; ++i) {
-            if (state[i] != NodeState::Unclaimed) continue;
-            if (try_finish(i)) {
-                ++stats.nodes_reused;
-                if (obs::enabled()) obs::add_counter("sched.nodes_reused", 1);
-                continue;
-            }
-            const std::string id = plan_node_id(i);
-            const std::optional<store::LeaseClaim> claim =
-                store::claim_lease(leases, id, owner, config.lease_ttl_ms);
-            if (!claim) continue;  // A live holder works on it; revisit later.
-            if (claim->stolen) {
-                ++stats.leases_stolen;
-                if (obs::enabled()) obs::add_counter("sched.leases_stolen", 1);
-            } else {
-                ++stats.leases_acquired;
-                if (obs::enabled()) obs::add_counter("sched.leases_acquired", 1);
-            }
-            board.track(id, claim->generation);
-            state[i] = NodeState::Ready;
-            ready.push(ReadyItem{i, priority[i]});
-        }
-    };
-
-    const auto requeue = [&](std::uint64_t i) {
-        state[i] = NodeState::Ready;
-        ready.push(ReadyItem{i, priority[i]});
+    // On success and on error alike. The renewal count is the board's own;
+    // it is read once the renewer has been joined.
+    const auto wind_down = [&] {
+        shutdown_workers(workers);
+        stats.leases_renewed = board.stop();
+        if (obs::enabled()) obs::add_counter("sched.leases_renewed", stats.leases_renewed);
+        std::signal(SIGPIPE, prior_sigpipe);
     };
 
     const auto on_worker_death = [&](std::size_t w) {
@@ -387,7 +330,7 @@ CoordinatorStats run_coordinator(const CampaignPlan& plan, const Dag& dag,
         if (worker.in_flight) {
             // We still hold (and renew) the lease; the node just needs a
             // new pair of hands.
-            requeue(*worker.in_flight);
+            claimer.put_back(*worker.in_flight);
             worker.in_flight.reset();
         }
         if (worker.respawns < kMaxRespawnsPerWorker) {
@@ -421,11 +364,16 @@ CoordinatorStats run_coordinator(const CampaignPlan& plan, const Dag& dag,
         }
         worker.in_flight.reset();
         worker.idle_since_ns = obs::now_ns();
-        if (verb == "ok" && try_finish(*fleet)) {
-            board.release(std::string(id));
-            ++stats.nodes_completed;
-            if (obs::enabled()) obs::add_counter("sched.nodes_completed", 1);
-            return;
+        if (verb == "ok") {
+            const store::FleetShard shard =
+                store::check_fleet_shard(config.store_dir, *fleet, plan.nodes[*fleet].key);
+            if (shard.state == store::ShardState::Sealed) {
+                record(shard);
+                board.release(std::string(id));
+                ++stats.nodes_completed;
+                if (obs::enabled()) obs::add_counter("sched.nodes_completed", 1);
+                return;
+            }
         }
         // "fail ..." or an "ok" whose shard does not verify: retry on
         // another slot, bounded.
@@ -435,30 +383,23 @@ CoordinatorStats run_coordinator(const CampaignPlan& plan, const Dag& dag,
                              " time(s); last reply: '" + std::string(line) +
                              "'");
         }
-        requeue(*fleet);
+        claimer.put_back(*fleet);
     };
 
     try {
-        std::uint64_t last_scan_ms = 0;
         while (done_count < plan.fleets) {
-            const std::uint64_t now_ms = store::lease_now_ms();
-            if (now_ms - last_scan_ms >= 250) {
-                claim_scan();
-                last_scan_ms = now_ms;
-                if (done_count == plan.fleets) break;
-            }
-
-            // Dispatch: critical-path-first pairing, then the pipe writes.
+            // Dispatch: each idle worker gets the claimer's next node.
             {
                 obs::ScopedTimer dispatch_timer("sched.dispatch_ns");
-                const std::vector<Assignment> picks =
-                    pick_assignments(workers, ready);
-                for (const Assignment& pick : picks) {
-                    WorkerProc& worker = workers[pick.worker];
+                for (std::size_t w = 0; w < workers.size(); ++w) {
+                    WorkerProc& worker = workers[w];
+                    if (!worker.alive || worker.in_flight) continue;
+                    const std::optional<Claim> claim = next_to_run();
+                    if (!claim) break;
                     if (!write_line(worker.to_child,
-                                    "run " + plan_node_id(pick.item.node) + "\n")) {
-                        requeue(pick.item.node);
-                        on_worker_death(pick.worker);
+                                    "run " + plan_node_id(claim->fleet) + "\n")) {
+                        claimer.put_back(claim->fleet);
+                        on_worker_death(w);
                         continue;
                     }
                     if (obs::enabled()) {
@@ -466,22 +407,20 @@ CoordinatorStats run_coordinator(const CampaignPlan& plan, const Dag& dag,
                                           obs::now_ns() - worker.idle_since_ns);
                         obs::add_counter("sched.nodes_dispatched", 1);
                     }
-                    worker.in_flight = pick.item.node;
-                    state[pick.item.node] = NodeState::InFlight;
+                    worker.in_flight = claim->fleet;
                     ++stats.nodes_dispatched;
                 }
             }
+            if (done_count == plan.fleets) break;
 
-            std::size_t alive = 0;
             std::vector<pollfd> fds;
             std::vector<std::size_t> fd_owner;
             for (std::size_t w = 0; w < workers.size(); ++w) {
                 if (!workers[w].alive) continue;
-                ++alive;
                 fds.push_back(pollfd{workers[w].from_child, POLLIN, 0});
                 fd_owner.push_back(w);
             }
-            if (alive == 0) {
+            if (fds.empty()) {
                 throw SchedError(
                     "run_coordinator: every worker died (respawn budget "
                     "exhausted) with " +
@@ -516,15 +455,10 @@ CoordinatorStats run_coordinator(const CampaignPlan& plan, const Dag& dag,
             }
         }
     } catch (...) {
-        shutdown_workers(workers);
-        stop_board();
-        std::signal(SIGPIPE, prior_sigpipe);
+        wind_down();
         throw;
     }
-
-    shutdown_workers(workers);
-    stop_board();
-    std::signal(SIGPIPE, prior_sigpipe);
+    wind_down();
     return stats;
 }
 

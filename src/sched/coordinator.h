@@ -1,6 +1,7 @@
-// The distributed-campaign coordinator: owns the work DAG, leases fleet
-// nodes in the shared store, dispatches them to attached worker processes
-// and work-steals stragglers.
+// The distributed-campaign coordinator: owns the work DAG and, whenever an
+// attached worker process is idle, claims the next fleet node for it
+// through the one claim loop (sched/claimer.h) and dispatches it. So it
+// holds at most one lease per worker slot, and renews only those.
 //
 // The coordinator is deliberately stateless across restarts: everything it
 // needs to resume lives in the store (the plan, the lease files, and the
@@ -12,9 +13,10 @@
 // Worker management: N child processes of this binary (`qrn sched worker
 // --attached`) speak a one-line pipe protocol ("run <id>" down stdin,
 // "ok <id>" / "fail <id> <reason>" up stdout). A worker that dies has its
-// in-flight node re-queued (the coordinator still holds the lease) and is
-// respawned a bounded number of times. Nodes leased by *external*
-// standalone workers are left alone until the lease expires, then stolen.
+// in-flight node put back (the coordinator still holds the lease) and is
+// respawned a bounded number of times. Standalone workers may share the
+// campaign: nodes they lease are deferred to until the lease expires,
+// then stolen, and shards they seal are recorded as reused.
 #pragma once
 
 #include <cstdint>

@@ -3,9 +3,9 @@
 //
 // A distributed campaign is compiled into this graph (sched/plan.h builds
 // the concrete generate -> simulate-fleet-i -> aggregate -> verify shape)
-// and the coordinator dispatches READY nodes in descending critical-path
-// order: the node whose remaining chain to the sink is longest goes first,
-// so stragglers on the critical path never wait behind bulk work. The
+// and the coordinator hands fleet nodes out in descending critical-path
+// order (sched/claimer.h): the node whose remaining chain to the sink is
+// longest goes first, so the critical path never waits behind bulk work. The
 // representation follows the artidoro scheduling exemplar (vertices and
 // edges accumulate, a build step freezes them, successors and
 // predecessors are read from the frozen graph, levels are

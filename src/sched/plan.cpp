@@ -6,7 +6,6 @@
 #include <charconv>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "qrn/json.h"
 #include "qrn/serialize.h"
@@ -203,26 +202,13 @@ void write_plan(const std::string& store_dir, const CampaignPlan& plan) {
 
 std::optional<CampaignPlan> read_plan(const std::string& store_dir) {
     const std::string path = plan_path(store_dir);
-    std::ifstream in(path);
-    if (!in) {
-        std::error_code ec;
-        if (std::filesystem::exists(path, ec)) {
-            throw store::StoreError(store::StoreErrorKind::Io,
-                                    "plan '" + path + "' exists but cannot be read");
-        }
-        return std::nullopt;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    if (in.bad()) {
-        throw store::StoreError(store::StoreErrorKind::Io,
-                                "I/O error while reading plan '" + path + "'");
-    }
+    const std::optional<std::string> text = store::read_whole_file(path);
+    if (!text) return std::nullopt;
 
     namespace json = qrn::json;
     CampaignPlan plan;
     try {
-        const json::Value doc = json::parse(text.str());
+        const json::Value doc = json::parse(*text);
         if (doc.at("kind").as_string() != kPlanKind) {
             throw SchedError("'" + path + "' is not a campaign plan (kind '" +
                              doc.at("kind").as_string() + "')");

@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "obs/metrics.h"
+#include "sched/claimer.h"
 #include "sched/plan.h"
 #include "store/campaign_store.h"
 #include "store/format.h"
@@ -85,29 +86,16 @@ public:
 
     [[nodiscard]] const CampaignPlan& plan() const noexcept { return plan_; }
 
-    [[nodiscard]] std::string shard_path(std::uint64_t fleet_index) const {
-        return store_dir_ + "/" +
-               store::Store::shard_filename(fleet_index,
-                                            plan_.nodes[fleet_index].key);
-    }
-
-    /// True when the fleet's shard already verifies clean under the plan's
-    /// key: the node is done no matter who sealed it.
-    [[nodiscard]] bool shard_done(std::uint64_t fleet_index) const {
-        return store::check_fleet_shard(store_dir_, fleet_index,
-                                        plan_.nodes[fleet_index].key)
-                   .state == store::ShardState::Sealed;
-    }
-
-    /// Simulates and seals the fleet's shard unless it is already done.
+    /// Simulates and seals the fleet's shard. Whoever handed the node out
+    /// checked the shard when it claimed the node.
     void execute(std::uint64_t fleet_index) {
-        if (shard_done(fleet_index)) return;
         if (fault_fires(fault_mid_shard_, fleet_index)) {
             // A crash mid-seal leaves a garbage temp file behind; the
             // sealed name never appears (write_shard renames last).
-            std::ofstream garbage(
-                shard_path(fleet_index) + std::string(store::kTempSuffix),
-                std::ios::trunc);
+            const std::string shard = store::Store::shard_filename(
+                fleet_index, plan_.nodes[fleet_index].key);
+            std::ofstream garbage(store_dir_ + "/" + shard + std::string(store::kTempSuffix),
+                                  std::ios::trunc);
             garbage << "partial write cut short by crash\n";
             garbage.flush();
             std::_Exit(137);
@@ -172,46 +160,33 @@ int run_attached_worker(std::istream& in, std::ostream& out,
 
 int run_standalone_worker(const WorkerOptions& options) {
     NodeRunner runner(options);
+    const CampaignPlan& plan = runner.plan();
     const std::string owner = options.owner.empty()
                                   ? "worker-" + std::to_string(::getpid())
                                   : options.owner;
-    const std::string leases = lease_dir(options.store_dir);
     const std::optional<Fault> fault_mid_lease =
         fault_from_env("QRN_SCHED_FAULT_MID_LEASE");
 
-    for (;;) {
-        bool all_done = true;
-        bool progressed = false;
-        for (std::uint64_t i = 0; i < runner.plan().fleets; ++i) {
-            if (runner.shard_done(i)) continue;
-            all_done = false;
-
-            const std::string id = plan_node_id(i);
-            const std::optional<store::LeaseClaim> claim =
-                store::claim_lease(leases, id, owner, options.lease_ttl_ms);
-            if (!claim) continue;
-            if (obs::enabled()) {
-                obs::add_counter(claim->stolen ? "sched.leases_stolen"
-                                               : "sched.leases_acquired",
-                                 1);
-            }
-
-            if (fault_fires(fault_mid_lease, i)) {
-                // Crash while holding the lease: the file stays behind and
-                // must be stolen after the TTL for the campaign to finish.
-                std::_Exit(137);
-            }
-            runner.execute(i);
-            store::release_lease(leases, id);
-            progressed = true;
+    Claimer claimer(plan, options.store_dir, owner, options.lease_ttl_ms,
+                    dispatch_order(plan, build_campaign_dag(plan)));
+    while (!claimer.exhausted()) {
+        const std::optional<Claim> claim = claimer.next();
+        if (!claim) {
+            // Every node left is leased by a live peer.
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(claimer.revisit_in_ms()));
+            continue;
         }
-        if (all_done) return 0;
-        if (!progressed) {
-            // Every remaining node is leased by a live peer; back off
-            // until something finishes or a lease expires.
-            std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        if (claim->kind == Claim::Kind::Settled) continue;
+        if (fault_fires(fault_mid_lease, claim->fleet)) {
+            // Crash while holding the lease: the file stays behind and
+            // must be stolen after the TTL for the campaign to finish.
+            std::_Exit(137);
         }
+        runner.execute(claim->fleet);
+        store::release_lease(lease_dir(options.store_dir), plan_node_id(claim->fleet));
     }
+    return 0;
 }
 
 }  // namespace qrn::sched

@@ -12,12 +12,12 @@
 //
 //  - *Standalone* (`qrn sched worker --store DIR`): launched externally
 //    against a store whose plan the coordinator already wrote. Claims
-//    ready fleet nodes itself via lease files under DIR/sched/leases
-//    (acquire free nodes, steal expired leases), executes them, and exits
-//    0 once every fleet shard in the plan verifies clean. Safe to run any
-//    number of these concurrently with or without a coordinator: a node is
-//    "done" iff its sealed shard verifies, so duplicate execution only
-//    wastes cycles.
+//    fleet nodes itself through the coordinator's claim loop
+//    (sched/claimer.h: lease files under DIR/sched/leases), reading each
+//    sealed shard once, executes them, and exits 0 once every node was
+//    found sealed or sealed by it. Safe to run any number of these
+//    concurrently with or without a coordinator: a node is "done" iff its
+//    sealed shard verifies, so duplicate execution only wastes cycles.
 //
 // A worker refuses to participate when its build would not reproduce the
 // plan's cache keys (verify_plan_keys): divergent shards must never enter
@@ -42,7 +42,7 @@ int run_attached_worker(std::istream& in, std::ostream& out,
                         const WorkerOptions& options);
 
 /// Standalone mode: claim-and-execute loop over the store's plan.
-/// Returns 0 when every fleet node's shard verifies clean. Throws
+/// Returns 0 when every fleet node's shard is sealed. Throws
 /// StoreError(Io) when the store has no plan yet.
 int run_standalone_worker(const WorkerOptions& options);
 

@@ -7,7 +7,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include <unistd.h>
 
@@ -114,27 +113,13 @@ bool try_acquire_lease(const std::string& dir, const Lease& lease) {
 }
 
 std::optional<Lease> read_lease(const std::string& dir, const std::string& node) {
-    const std::string path = lease_path(dir, node);
-    std::ifstream in(path);
-    if (!in) {
-        std::error_code ec;
-        if (std::filesystem::exists(path, ec)) {
-            throw StoreError(StoreErrorKind::Io,
-                             "lease '" + path + "' exists but cannot be read");
-        }
-        return std::nullopt;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    if (in.bad()) {
-        throw StoreError(StoreErrorKind::Io,
-                         "I/O error while reading lease '" + path + "'");
-    }
+    const std::optional<std::string> text = read_whole_file(lease_path(dir, node));
+    if (!text) return std::nullopt;
 
     Lease lease;
     lease.node = node;
     try {
-        const json::Value doc = json::parse(text.str());
+        const json::Value doc = json::parse(*text);
         if (doc.at("kind").as_string() != kLeaseKind ||
             doc.at("node").as_string() != node) {
             throw std::runtime_error("wrong kind or node");

@@ -5,11 +5,11 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
-#include <sstream>
 
 #include "qrn/json.h"
 #include "store/cache_key.h"
 #include "store/format.h"
+#include "store/sync.h"
 
 namespace qrn::store {
 
@@ -24,19 +24,13 @@ constexpr std::string_view kHeader = "{\"kind\": \"qrn.store\", \"schema_version
 
 /// Reads the header at `path`; false when there is none.
 bool read_header(const std::string& path) {
-    std::error_code ec;
-    if (!std::filesystem::exists(path, ec)) return false;
-    std::ifstream in(path);
-    std::ostringstream text;
-    text << in.rdbuf();
-    if (!in.is_open()) {
-        throw StoreError(StoreErrorKind::Io, "cannot read store manifest '" + path + "'");
-    }
-    if (text.view() == kHeader) return true;
+    const std::optional<std::string> text = read_whole_file(path);
+    if (!text) return false;
+    if (*text == kHeader) return true;
     std::string kind;
     std::int64_t version = 0;
     try {
-        const json::Value doc = json::parse(text.str());
+        const json::Value doc = json::parse(*text);
         kind = doc.at("kind").as_string();
         version = doc.at("schema_version").as_integer();
     } catch (const std::exception& e) {

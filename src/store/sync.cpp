@@ -53,4 +53,28 @@ void sync_directory(const std::string& path) {
     sync_fd_path(SyncKind::Directory, path, O_RDONLY | O_DIRECTORY | O_CLOEXEC);
 }
 
+std::optional<std::string> read_whole_file(const std::string& path) {
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) {
+        if (errno == ENOENT) return std::nullopt;
+        throw_io("open", path);
+    }
+    std::string text;
+    char chunk[4096];
+    for (;;) {
+        const ssize_t n = ::read(fd, chunk, sizeof chunk);
+        if (n == 0) break;
+        if (n < 0) {
+            if (errno == EINTR) continue;
+            const int saved = errno;
+            ::close(fd);
+            errno = saved;
+            throw_io("read", path);
+        }
+        text.append(chunk, static_cast<std::size_t>(n));
+    }
+    ::close(fd);
+    return text;
+}
+
 }  // namespace qrn::store

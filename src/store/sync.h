@@ -1,6 +1,7 @@
 // Durability primitives for the shard store: fd-level fsync of files and
 // directories, the part of "crash-safe" that buffered streams and
-// std::filesystem::rename cannot provide on their own.
+// std::filesystem::rename cannot provide on their own, and the fd-level
+// read that the lease and plan readers share.
 //
 // A sealed shard is durable only once (a) the temp file's bytes have
 // reached the device *before* the atomic rename publishes the final name,
@@ -11,6 +12,7 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <string>
 
 namespace qrn::store {
@@ -28,6 +30,12 @@ void sync_file(const std::string& path);
 /// Flushes the directory at `path` so entries renamed or created inside it
 /// survive a crash. Throws StoreError{Io} on failure.
 void sync_directory(const std::string& path);
+
+/// Reads the file at `path` whole. Returns nullopt when the open itself
+/// fails with ENOENT: a peer may create the file between a failed open
+/// and any later look, so no second lookup decides "absent". Throws
+/// StoreError{Io} on every other failure.
+[[nodiscard]] std::optional<std::string> read_whole_file(const std::string& path);
 
 namespace detail {
 /// Test seam: when set, invoked with (kind, path) before each real fsync.

@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "sched/dag.h"
-#include "sched/ready_queue.h"
 #include "stats/rng.h"
 
 namespace {
@@ -73,26 +72,6 @@ TEST(Dag, CriticalPathLevelsAreWeightPlusHeaviestChain) {
     EXPECT_DOUBLE_EQ(dag.level(at("fleet-00001")), 4.0);
     EXPECT_DOUBLE_EQ(dag.level(at("fleet-00000")), 12.0);
     EXPECT_DOUBLE_EQ(dag.level(at("generate")), 13.0);
-}
-
-TEST(Dag, ReadyQueuePopsCriticalPathFirstThenByNode) {
-    const Dag dag = diamond(10.0, 2.0);
-    const auto heavy = *dag.index_of("fleet-00000");
-    const auto light = *dag.index_of("fleet-00001");
-    ReadyQueue ready;
-    for (const std::size_t i : {light, heavy}) ready.push(ReadyItem{i, dag.level(i)});
-    EXPECT_EQ(ready.pop().node, heavy);  // heavier chain first
-    EXPECT_EQ(ready.pop().node, light);
-    EXPECT_TRUE(ready.empty());
-    EXPECT_THROW(ready.pop(), SchedError);
-
-    // Equal priorities break by node index, so dispatch order never
-    // depends on push order or heap internals.
-    ReadyQueue ties;
-    for (const std::size_t node : {2, 1, 3, 0}) ties.push(ReadyItem{node, 5.0});
-    ties.push(ReadyItem{4, 6.0});
-    for (const std::size_t node : {4, 0, 1, 2, 3}) EXPECT_EQ(ties.pop().node, node);
-    EXPECT_TRUE(ties.empty());
 }
 
 TEST(Dag, RejectsCyclesNamingAStableNode) {

@@ -12,9 +12,11 @@
 #include <cstring>
 #include <new>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "sched/claimer.h"
 #include "sched/dag.h"
 #include "sched/plan.h"
 
@@ -71,12 +73,16 @@ TEST(SchedLimits, LargestAcceptedCampaignCompilesInBoundedTime) {
     EXPECT_EQ(dag.size(), kMaxFleets + 3);
     EXPECT_EQ(dag.edge_count(), 2 * kMaxFleets + 1);
 
-    // What run_coordinator does at start: look up every fleet node by id.
+    // What run_coordinator does at start: look up every fleet node by id
+    // and order the fleets by level, which ties for the campaign shape.
     for (std::uint64_t i = 0; i < kMaxFleets; ++i) {
         const auto at = dag.index_of(plan_node_id(i));
         ASSERT_TRUE(at.has_value()) << plan_node_id(i);
         ASSERT_EQ(*at, i + 3) << plan_node_id(i);
     }
+    const std::vector<Dag::Index> order = dispatch_order(plan, dag);
+    ASSERT_EQ(order.size(), kMaxFleets);
+    for (std::uint64_t i = 0; i < kMaxFleets; ++i) ASSERT_EQ(order[i], i);
 
     const DagMetrics metrics = compute_metrics(dag);
     EXPECT_EQ(metrics.node_count, kMaxFleets + 3);

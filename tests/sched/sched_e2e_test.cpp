@@ -69,26 +69,30 @@ struct RunResult {
     std::string err;     ///< Captured stderr bytes.
 };
 
-/// Runs the qrn binary to completion with stdout/stderr captured and the
-/// given environment overlaid (fault injection knobs).
-RunResult run_qrn(const std::string& scratch,
-                  const std::vector<std::string>& args,
-                  const std::vector<std::pair<std::string, std::string>>& env =
-                      {}) {
+/// A qrn process started by start_qrn, with where its output goes.
+struct Started {
+    pid_t pid = -1;
+    std::string out_path;
+    std::string err_path;
+};
+
+/// Starts the qrn binary with stdout/stderr captured and the given
+/// environment overlaid (fault injection knobs).
+Started start_qrn(const std::string& scratch, const std::vector<std::string>& args,
+                  const std::vector<std::pair<std::string, std::string>>& env = {}) {
     static int serial = 0;
     const std::string tag = scratch + "/run" + std::to_string(serial++);
-    const std::string out_path = tag + ".out";
-    const std::string err_path = tag + ".err";
+    Started started{-1, tag + ".out", tag + ".err"};
 
-    const pid_t pid = fork();
-    if (pid == 0) {
+    started.pid = fork();
+    if (started.pid == 0) {
         for (const auto& [key, value] : env) {
             ::setenv(key.c_str(), value.c_str(), 1);
         }
         const int out_fd =
-            ::open(out_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+            ::open(started.out_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
         const int err_fd =
-            ::open(err_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+            ::open(started.err_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
         if (out_fd < 0 || err_fd < 0) _exit(126);
         ::dup2(out_fd, 1);
         ::dup2(err_fd, 2);
@@ -103,17 +107,39 @@ RunResult run_qrn(const std::string& scratch,
         ::execv(QRN_CLI_PATH, argv.data());
         _exit(127);
     }
+    return started;
+}
+
+/// Waits for a started qrn process and collects what it wrote.
+RunResult finish_qrn(const Started& started) {
     int status = 0;
-    ::waitpid(pid, &status, 0);
+    ::waitpid(started.pid, &status, 0);
     RunResult result;
     if (WIFEXITED(status)) {
         result.exit_code = WEXITSTATUS(status);
     } else if (WIFSIGNALED(status)) {
         result.exit_code = 128 + WTERMSIG(status);
     }
-    result.out = read_file_bytes(out_path);
-    result.err = read_file_bytes(err_path);
+    result.out = read_file_bytes(started.out_path);
+    result.err = read_file_bytes(started.err_path);
     return result;
+}
+
+/// Runs the qrn binary to completion (see start_qrn).
+RunResult run_qrn(const std::string& scratch,
+                  const std::vector<std::string>& args,
+                  const std::vector<std::pair<std::string, std::string>>& env =
+                      {}) {
+    return finish_qrn(start_qrn(scratch, args, env));
+}
+
+/// The counters of a --metrics manifest, by name.
+std::map<std::string, double> manifest_counters(const json::Value& doc) {
+    std::map<std::string, double> counters;
+    for (const json::Value& counter : doc.at("counters").as_array()) {
+        counters[counter.at("name").as_string()] = counter.at("value").as_number();
+    }
+    return counters;
 }
 
 /// A fresh scratch directory per test.
@@ -124,14 +150,18 @@ std::string scratch_for(const std::string& name) {
     return dir;
 }
 
-std::vector<std::string> campaign_args(const std::string& store) {
-    return {"campaign", "--fleets", kFleets, "--hours", kHours,
-            "--seed",   kSeed,     "--store", store};
+std::vector<std::string> campaign_args(const std::string& store,
+                                       const char* fleets = kFleets,
+                                       const char* hours = kHours) {
+    return {"campaign", "--fleets", fleets, "--hours", hours,
+            "--seed",   kSeed,      "--store", store};
 }
 
 std::vector<std::string> distributed_args(const std::string& store,
-                                          const char* workers) {
-    auto args = campaign_args(store);
+                                          const char* workers,
+                                          const char* fleets = kFleets,
+                                          const char* hours = kHours) {
+    auto args = campaign_args(store, fleets, hours);
     args.push_back("--distributed");
     args.push_back("--workers");
     args.push_back(workers);
@@ -140,8 +170,10 @@ std::vector<std::string> distributed_args(const std::string& store,
 
 /// The ground truth every distributed run must reproduce byte for byte.
 RunResult run_single_process_baseline(const std::string& scratch,
-                                      const std::string& store) {
-    auto args = campaign_args(store);
+                                      const std::string& store,
+                                      const char* fleets = kFleets,
+                                      const char* hours = kHours) {
+    auto args = campaign_args(store, fleets, hours);
     args.push_back("--jobs");
     args.push_back("1");
     RunResult baseline = run_qrn(scratch, args);
@@ -295,11 +327,8 @@ TEST(SchedE2e, StandaloneWorkerCountsAStealOnlyAsASteal) {
     const RunResult worker = run_qrn(
         scratch, {"sched", "worker", "--store", store, "--metrics", metrics});
     ASSERT_EQ(worker.exit_code, 0) << worker.err;
-    std::map<std::string, double> counters;
-    const json::Value doc = json::parse(read_file_bytes(metrics));
-    for (const json::Value& counter : doc.at("counters").as_array()) {
-        counters[counter.at("name").as_string()] = counter.at("value").as_number();
-    }
+    std::map<std::string, double> counters =
+        manifest_counters(json::parse(read_file_bytes(metrics)));
     EXPECT_EQ(counters["sched.leases_acquired"], 3.0);
     EXPECT_EQ(counters["sched.leases_stolen"], 1.0);
 }
@@ -321,14 +350,61 @@ TEST(SchedE2e, CoordinatorCountsRenewalsAndReleasesEveryLease) {
         "--sched-ttl-ms", "3", "--metrics", metrics};
     const RunResult dist = run_qrn(scratch, args);
     ASSERT_EQ(dist.exit_code, 0) << dist.err;
-    std::map<std::string, double> counters;
-    const json::Value doc = json::parse(read_file_bytes(metrics));
-    for (const json::Value& counter : doc.at("counters").as_array()) {
-        counters[counter.at("name").as_string()] = counter.at("value").as_number();
-    }
+    std::map<std::string, double> counters =
+        manifest_counters(json::parse(read_file_bytes(metrics)));
     EXPECT_GT(counters["sched.leases_renewed"], 0.0);
     EXPECT_EQ(counters["sched.leases_acquired"], 4.0);
     EXPECT_TRUE(std::filesystem::is_empty(sched::lease_dir(store)));
+}
+
+TEST(SchedE2e, CoordinatorRenewsOnlyTheLeasesItsWorkersHold) {
+    // The coordinator claims a node when a worker is free to run it, so it
+    // holds at most one lease per worker: each renewal period (TTL/3 =
+    // 10 ms) rewrites at most two, however many fleets the plan has.
+    const auto scratch = scratch_for("renewal_bound");
+    const std::string metrics = scratch + "/coord-metrics.json";
+    std::vector<std::string> args = distributed_args(scratch + "/dist", "2", "400", "1");
+    for (const char* arg : {"--sched-ttl-ms", "30", "--metrics", metrics.c_str()}) {
+        args.emplace_back(arg);
+    }
+    const RunResult dist = run_qrn(scratch, args);
+    ASSERT_EQ(dist.exit_code, 0) << dist.err;
+    const json::Value doc = json::parse(read_file_bytes(metrics));
+    std::map<std::string, double> counters = manifest_counters(doc);
+    const double periods = doc.at("wall_ns").as_number() / 10e6 + 1;
+    EXPECT_LE(counters["sched.leases_renewed"], 2 * periods);
+    EXPECT_EQ(counters["sched.leases_acquired"], 400.0);
+}
+
+TEST(SchedE2e, StandaloneWorkerBesideACoordinatorMatchesSingleProcessBytes) {
+    // One worker started by hand as soon as the plan exists shares the
+    // campaign with a one-worker coordinator. Both claim through the same
+    // loop, the worker reads each sealed shard once, and the bytes are
+    // the --jobs 1 bytes.
+    const auto scratch = scratch_for("mixed");
+    constexpr const char* kMixedFleets = "32";
+    constexpr const char* kMixedHours = "10000";
+    const RunResult baseline = run_single_process_baseline(
+        scratch, scratch + "/base", kMixedFleets, kMixedHours);
+
+    const std::string store = scratch + "/dist";
+    const Started coordinator =
+        start_qrn(scratch, distributed_args(store, "1", kMixedFleets, kMixedHours));
+    for (int wait = 0; wait < 10000 && !std::filesystem::exists(sched::plan_path(store));
+         ++wait) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const std::string metrics = scratch + "/worker-metrics.json";
+    const RunResult worker = run_qrn(
+        scratch, {"sched", "worker", "--store", store, "--metrics", metrics});
+    const RunResult dist = finish_qrn(coordinator);
+    ASSERT_EQ(worker.exit_code, 0) << worker.err;
+    ASSERT_EQ(dist.exit_code, 0) << dist.err;
+    EXPECT_EQ(dist.out, baseline.out);
+    EXPECT_EQ(shard_bytes(store), shard_bytes(scratch + "/base"));
+    std::map<std::string, double> counters =
+        manifest_counters(json::parse(read_file_bytes(metrics)));
+    EXPECT_LE(counters["store.shards_read"], 32.0);
 }
 
 TEST(SchedE2e, WorkerWithoutAPlanExitsIo) {

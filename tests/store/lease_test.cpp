@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/parallel.h"
 #include "mutations.h"
 #include "store/format.h"
 #include "store/lease.h"
@@ -270,6 +271,32 @@ TEST(Lease, ClaimAcquiresStealsOrDefers) {
     EXPECT_EQ(healed->generation, 1u);
     EXPECT_TRUE(healed->stolen);
     EXPECT_EQ(store::read_lease(dir, "torn")->owner, "c");
+}
+
+TEST(Lease, TwoClaimantsRacingOverOneDirectoryAcquireEachNodeOnce) {
+    // Both claimants walk the same node ids in the same order, so they
+    // meet on almost every node: one reads "no lease" while the other is
+    // linking its own. Absence must be decided by the failed open itself,
+    // or the loser's second look finds the new file and throws.
+    const auto dir = lease_dir_for("race");
+    constexpr std::size_t kNodes = 2000;
+    std::vector<std::vector<char>> won(2, std::vector<char>(kNodes, 0));
+    std::vector<std::size_t> stolen(2, 0);
+    EXPECT_NO_THROW(exec::parallel_for(2, 2, [&](const exec::ChunkRange& chunk) {
+        const std::string owner = chunk.index == 0 ? "a" : "b";
+        for (std::size_t node = 0; node < kNodes; ++node) {
+            const auto claim = store::claim_lease(dir, std::to_string(node), owner, 600'000);
+            if (!claim) continue;
+            won[chunk.index][node] = 1;
+            if (claim->stolen) ++stolen[chunk.index];
+        }
+    }));
+    EXPECT_EQ(stolen[0] + stolen[1], 0u);
+    std::size_t once = 0;
+    for (std::size_t node = 0; node < kNodes; ++node) {
+        once += won[0][node] + won[1][node] == 1 ? 1 : 0;
+    }
+    EXPECT_EQ(once, kNodes);
 }
 
 TEST(Lease, AcquireLeavesNoTempFilesBehind) {
