@@ -47,6 +47,7 @@ void IncidentLog::merge(IncidentLog&& other) {
 
 FleetSimulator::FleetSimulator(FleetConfig config) : config_(std::move(config)) {
     config_.policy.validate();
+    terms_ = config_.policy.terms();
 }
 
 IncidentLog FleetSimulator::run(double hours, unsigned jobs) const {
@@ -110,9 +111,15 @@ IncidentLog FleetSimulator::run(double hours, unsigned jobs) const {
     return log;
 }
 
-void FleetSimulator::run_stretch(std::size_t index, double stretch, Environment env,
-                                 const ScenarioSampler& sampler,
-                                 StretchScratch& scratch, IncidentLog& log) const {
+// Flattened: every call below, and every call those make, is inlined into
+// this one body where its definition is visible (DESIGN.md, "Kernel
+// layout"). Without it GCC 12 at -O3 keeps resolve_lead_braking out of
+// line, one call per lead-braking and cut-in encounter.
+[[gnu::flatten]] void FleetSimulator::run_stretch(std::size_t index, double stretch,
+                                                  Environment env,
+                                                  const ScenarioSampler& sampler,
+                                                  StretchScratch& scratch,
+                                                  IncidentLog& log) const {
     stats::Rng rng = stats::Rng::stream(config_.seed, static_cast<std::uint64_t>(index) + 1);
     // Stretches are one hour each except possibly the last, so stretch h
     // starts at clock hour h.
@@ -171,11 +178,11 @@ void FleetSimulator::run_stretch(std::size_t index, double stretch, Environment 
             if (decel_cap < healthy_max) {
                 const double v0 = kmh_to_ms(cruise_kmh);
                 const double healthy_stop =
-                    v0 * config_.policy.effective_latency_s() +
+                    v0 * terms_.latency_s +
                     v0 * v0 / (2.0 * healthy_max);
                 cruise_kmh = std::min(
                     cruise_kmh,
-                    config_.policy.speed_for_stop_within(healthy_stop, decel_cap));
+                    config_.policy.speed_for_stop_within(healthy_stop, decel_cap, terms_));
                 gap_stretch = healthy_max / decel_cap;
             }
         }
@@ -195,7 +202,8 @@ void FleetSimulator::run_stretch(std::size_t index, double stretch, Environment 
                 // determinism tests), so stretch streams replay bit-identically.
                 const ResolvedEncounter resolved =
                     resolve_encounter(kind, env, cruise_kmh, decel_cap, gap_stretch,
-                                      config_.policy, config_.perception, sampler, rng);
+                                      config_.policy, terms_, config_.perception, sampler,
+                                      rng);
                 ++log.encounters;
                 const double timestamp = clock_hours + rng.uniform() * stretch;
                 if (auto incident = detect_incident(resolved.encounter, resolved.outcome,

@@ -146,16 +146,19 @@ struct ResolvedEncounter {
 /// detection distance -> kind-specific resolution draws). Shared by
 /// FleetSimulator::run_stretch and the splitting driver's severity model so
 /// the two can never drift apart. `decel_cap` is the physically available
-/// deceleration (infinity when brakes are healthy) and `gap_stretch` the
-/// following-gap multiplier an aware degraded policy applies (1 otherwise).
-/// Defined inline: both the stretch loop and the splitting driver call it
-/// per encounter, and an out-of-line call here costs ~30% of fleet-sim
-/// throughput (BM_RunStretch).
+/// deceleration (infinity when brakes are healthy), `gap_stretch` the
+/// following-gap multiplier an aware degraded policy applies (1 otherwise)
+/// and `terms` the policy's constant terms, computed once per fleet.
+/// Defined inline, as is everything it calls per encounter (sampler,
+/// perception, policy, kinematics, detector, RNG): run_stretch is
+/// [[gnu::flatten]], so GCC resolves each encounter as one inlined body
+/// that calls out only to libm, and to validate() per incident (DESIGN.md,
+/// "Kernel layout").
 [[nodiscard]] inline ResolvedEncounter resolve_encounter(
     EncounterKind kind, const Environment& env, double cruise_kmh,
     double decel_cap, double gap_stretch, const TacticalPolicy& policy,
-    const PerceptionModel& perception, const ScenarioSampler& sampler,
-    stats::Rng& rng) {
+    const TacticalPolicy::Terms& terms, const PerceptionModel& perception,
+    const ScenarioSampler& sampler, stats::Rng& rng) {
     ResolvedEncounter out;
     out.encounter = sampler.sample(kind, env, rng);
     const Encounter& encounter = out.encounter;
@@ -176,8 +179,8 @@ struct ResolvedEncounter {
             const double seen_at = std::min(encounter.conflict_distance_m, detect_m);
             const double assumed_sight =
                 std::min(detect_m, assumed_occlusion_sight_m(env));
-            const double speed = policy.approach_speed_kmh(cruise_kmh, assumed_sight);
-            BrakeResponse response = policy.braking_for(speed, seen_at, env.friction);
+            const double speed = policy.approach_speed_kmh(cruise_kmh, assumed_sight, terms);
+            BrakeResponse response = policy.braking_for(speed, seen_at, env.friction, terms);
             // Physics, not policy: degraded brakes cap what the
             // vehicle can actually do.
             response.deceleration_ms2 = std::min(response.deceleration_ms2, decel_cap);
@@ -215,7 +218,7 @@ struct ResolvedEncounter {
             const double seen_at =
                 std::min(encounter.conflict_distance_m, detect_m) * 0.5;
             BrakeResponse response =
-                policy.braking_for(cruise_kmh, seen_at, env.friction);
+                policy.braking_for(cruise_kmh, seen_at, env.friction, terms);
             response.deceleration_ms2 = std::min(response.deceleration_ms2, decel_cap);
             emergency = policy.is_emergency(response);
             outcome = resolve_crossing(cruise_kmh, seen_at,
@@ -237,8 +240,8 @@ struct ResolvedEncounter {
         }
         case EncounterKind::StationaryObstacle: {
             const double seen_at = std::min(encounter.conflict_distance_m, detect_m);
-            const double speed = policy.approach_speed_kmh(cruise_kmh, detect_m);
-            BrakeResponse response = policy.braking_for(speed, seen_at, env.friction);
+            const double speed = policy.approach_speed_kmh(cruise_kmh, detect_m, terms);
+            BrakeResponse response = policy.braking_for(speed, seen_at, env.friction, terms);
             response.deceleration_ms2 = std::min(response.deceleration_ms2, decel_cap);
             emergency = policy.is_emergency(response);
             outcome = resolve_stationary(speed, seen_at, response);
@@ -247,7 +250,7 @@ struct ResolvedEncounter {
         case EncounterKind::LeadVehicleBraking: {
             const double gap = policy.following_gap_m(cruise_kmh) * gap_stretch;
             BrakeResponse response = policy.braking_for_lead(
-                cruise_kmh, gap, encounter.lead_decel_ms2, env.friction);
+                cruise_kmh, gap, encounter.lead_decel_ms2, env.friction, terms);
             response.deceleration_ms2 = std::min(response.deceleration_ms2, decel_cap);
             emergency = policy.is_emergency(response);
             outcome =
@@ -259,7 +262,7 @@ struct ResolvedEncounter {
             // must manage from the reduced gap.
             BrakeResponse response = policy.braking_for_lead(
                 cruise_kmh, encounter.cut_in_gap_m, encounter.lead_decel_ms2,
-                env.friction);
+                env.friction, terms);
             response.deceleration_ms2 = std::min(response.deceleration_ms2, decel_cap);
             emergency = policy.is_emergency(response);
             outcome = resolve_lead_braking(cruise_kmh, encounter.cut_in_gap_m,
@@ -306,6 +309,9 @@ private:
                      IncidentLog& log) const;
 
     FleetConfig config_;
+    /// config_.policy's constant terms: the policy is validated once and
+    /// never changes, so the kernel never re-evaluates them.
+    TacticalPolicy::Terms terms_;
 };
 
 }  // namespace qrn::sim

@@ -22,9 +22,30 @@ struct DetectorConfig {
 
 /// Converts one resolved encounter to an incident record, if the outcome
 /// crosses any recording threshold. `timestamp_hours` stamps the record.
-[[nodiscard]] std::optional<Incident> detect_incident(const Encounter& encounter,
-                                                      const EncounterOutcome& outcome,
-                                                      double timestamp_hours,
-                                                      const DetectorConfig& config = {});
+/// Inline: the fleet kernel calls it once per encounter.
+[[nodiscard]] inline std::optional<Incident> detect_incident(
+    const Encounter& encounter, const EncounterOutcome& outcome, double timestamp_hours,
+    const DetectorConfig& config = {}) {
+    Incident incident;
+    incident.first = ActorType::EgoVehicle;
+    incident.second = counterparty_of(encounter.kind);
+    incident.timestamp_hours = timestamp_hours;
+    if (outcome.collision) {
+        incident.mechanism = IncidentMechanism::Collision;
+        incident.relative_speed_kmh = outcome.impact_speed_kmh;
+        incident.min_distance_m = 0.0;
+        validate(incident);
+        return incident;
+    }
+    if (outcome.min_gap_m < config.near_miss_max_distance_m &&
+        outcome.closing_speed_kmh > config.near_miss_min_speed_kmh) {
+        incident.mechanism = IncidentMechanism::NearMiss;
+        incident.relative_speed_kmh = outcome.closing_speed_kmh;
+        incident.min_distance_m = outcome.min_gap_m;
+        validate(incident);
+        return incident;
+    }
+    return std::nullopt;
+}
 
 }  // namespace qrn::sim

@@ -9,6 +9,8 @@
 // performance limitations - one of the unified cause categories of Sec. V.
 #pragma once
 
+#include <algorithm>
+
 #include "qrn/incident.h"
 #include "sim/odd.h"
 #include "stats/rng.h"
@@ -31,12 +33,42 @@ struct PerceptionModel {
                                       ///< detection at 5% of range.
 
     /// Mean (pre-noise) detection range for an actor type in an environment.
-    [[nodiscard]] double mean_range_m(ActorType actor, const Environment& env) const;
+    [[nodiscard]] double mean_range_m(ActorType actor, const Environment& env) const {
+        double range = nominal_range_m;
+        switch (actor) {
+            case ActorType::Vru: range *= vru_range_factor; break;
+            case ActorType::Animal: range *= animal_range_factor; break;
+            default: break;
+        }
+        switch (env.weather) {
+            case Weather::Clear: break;
+            case Weather::Rain: range *= rain_factor; break;
+            case Weather::Snow: range *= snow_factor; break;
+            case Weather::Fog: range *= fog_factor; break;
+        }
+        switch (env.lighting) {
+            case Lighting::Day: break;
+            case Lighting::Dusk: range *= dusk_factor; break;
+            case Lighting::Night: range *= night_factor; break;
+        }
+        return range;
+    }
 
-    /// Samples the actual detection distance for one encounter.
+    /// Samples the actual detection distance for one encounter (inline: the
+    /// fleet kernel draws one per encounter).
     [[nodiscard]] double sample_detection_distance_m(ActorType actor,
                                                      const Environment& env,
-                                                     stats::Rng& rng) const;
+                                                     stats::Rng& rng) const {
+        const double mean = mean_range_m(actor, env);
+        // Lognormal noise around the mean with median = mean.
+        double range = mean * rng.lognormal(0.0, range_sigma_log);
+        if (rng.bernoulli(blackout_probability)) {
+            range *= 0.05;  // injected sensing fault
+        } else if (rng.bernoulli(miss_probability)) {
+            range *= 0.10;  // gross perception miss
+        }
+        return std::max(range, 1.0);
+    }
 };
 
 }  // namespace qrn::sim

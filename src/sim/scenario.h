@@ -6,12 +6,20 @@
 // policy's speed choices, the *outcomes* depend on the design, which is
 // exactly the exposure-is-a-design-choice point of Sec. II-B. Arrivals are
 // Poisson per encounter kind; parameters are sampled per encounter.
+//
+// What the fleet kernel calls per stretch and per encounter
+// (sample_counts, sample, counterparty_of, assumed_occlusion_sight_m) is
+// defined inline here; environment sampling, the serial prologue of a
+// fleet run, stays in scenario.cpp.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <stdexcept>
 
 #include "qrn/incident.h"
+#include "sim/dynamics.h"
 #include "sim/odd.h"
 #include "stats/rng.h"
 
@@ -30,10 +38,32 @@ enum class EncounterKind : std::uint8_t {
 
 inline constexpr std::size_t kEncounterKindCount = 7;
 
-[[nodiscard]] EncounterKind encounter_kind_from_index(std::size_t index);
+[[nodiscard]] inline EncounterKind encounter_kind_from_index(std::size_t index) {
+    static constexpr std::array<EncounterKind, kEncounterKindCount> kAll = {
+        EncounterKind::VruCrossing,       EncounterKind::LeadVehicleBraking,
+        EncounterKind::StationaryObstacle, EncounterKind::AnimalCrossing,
+        EncounterKind::CutIn,             EncounterKind::CrossingVehicle,
+        EncounterKind::OncomingDrift,
+    };
+    if (index >= kAll.size()) {
+        throw std::out_of_range("encounter_kind_from_index: bad index");
+    }
+    return kAll[index];
+}
 
 /// The counterparty actor type of an encounter kind.
-[[nodiscard]] ActorType counterparty_of(EncounterKind kind) noexcept;
+[[nodiscard]] inline ActorType counterparty_of(EncounterKind kind) noexcept {
+    switch (kind) {
+        case EncounterKind::VruCrossing: return ActorType::Vru;
+        case EncounterKind::LeadVehicleBraking: return ActorType::Car;
+        case EncounterKind::StationaryObstacle: return ActorType::StaticObject;
+        case EncounterKind::AnimalCrossing: return ActorType::Animal;
+        case EncounterKind::CutIn: return ActorType::Car;
+        case EncounterKind::CrossingVehicle: return ActorType::Car;
+        case EncounterKind::OncomingDrift: return ActorType::Car;
+    }
+    return ActorType::OtherActor;
+}
 
 /// One sampled encounter, before perception and policy are applied.
 struct Encounter {
@@ -61,7 +91,21 @@ struct EncounterRates {
     double oncoming_drift = 0.1;     ///< Scaled by env.traffic_density.
 
     /// Effective rate of one kind in an environment.
-    [[nodiscard]] double rate_of(EncounterKind kind, const Environment& env) const;
+    [[nodiscard]] double rate_of(EncounterKind kind, const Environment& env) const {
+        switch (kind) {
+            case EncounterKind::VruCrossing: return vru_crossing * env.vru_density;
+            case EncounterKind::LeadVehicleBraking:
+                return lead_braking * env.traffic_density;
+            case EncounterKind::StationaryObstacle: return stationary_obstacle;
+            case EncounterKind::AnimalCrossing: return animal_crossing * env.animal_density;
+            case EncounterKind::CutIn: return cut_in * env.traffic_density;
+            case EncounterKind::CrossingVehicle:
+                return crossing_vehicle * env.traffic_density;
+            case EncounterKind::OncomingDrift:
+                return oncoming_drift * env.traffic_density;
+        }
+        return 0.0;
+    }
 };
 
 /// Samples encounter parameters. Deterministic given the RNG.
@@ -80,11 +124,66 @@ public:
     /// sample_count for kind 0..N-1 in index order (pinned by tests), so
     /// the per-stretch stream is unchanged when call sites batch.
     void sample_counts(const Environment& env, double hours, stats::Rng& rng,
-                       std::array<std::uint64_t, kEncounterKindCount>& out) const;
+                       std::array<std::uint64_t, kEncounterKindCount>& out) const {
+        if (!(hours >= 0.0)) throw std::invalid_argument("sample_counts: hours >= 0");
+        std::array<double, kEncounterKindCount> means;
+        for (std::size_t i = 0; i < kEncounterKindCount; ++i) {
+            means[i] = rates_.rate_of(encounter_kind_from_index(i), env) * hours;
+        }
+        rng.fill_poisson(means.data(), out.data(), kEncounterKindCount);
+    }
 
     /// Parameters of one encounter of `kind` in `env`.
     [[nodiscard]] Encounter sample(EncounterKind kind, const Environment& env,
-                                   stats::Rng& rng) const;
+                                   stats::Rng& rng) const {
+        Encounter e;
+        e.kind = kind;
+        switch (kind) {
+            case EncounterKind::VruCrossing:
+                // Most crossings are visible well in advance; a small share
+                // is occluded (stepping out between parked cars) and appears
+                // close to the bumper.
+                e.conflict_distance_m = rng.bernoulli(0.015) ? rng.uniform(3.0, 15.0)
+                                                             : rng.uniform(15.0, 80.0);
+                // Walking to running pedestrians and slow cyclists.
+                e.crossing_speed_kmh = rng.uniform(2.0, 14.0);
+                break;
+            case EncounterKind::LeadVehicleBraking:
+                e.lead_decel_ms2 =
+                    rng.uniform(3.0, friction_limited_decel_ms2(env.friction));
+                break;
+            case EncounterKind::StationaryObstacle:
+                e.conflict_distance_m = rng.uniform(10.0, 200.0);
+                break;
+            case EncounterKind::AnimalCrossing:
+                // Wildlife mostly breaks cover at distance; darting close to
+                // the vehicle is the rarer case.
+                e.conflict_distance_m = rng.bernoulli(0.08) ? rng.uniform(5.0, 20.0)
+                                                            : rng.uniform(20.0, 120.0);
+                e.crossing_speed_kmh = rng.uniform(4.0, 30.0);
+                break;
+            case EncounterKind::CutIn:
+                e.cut_in_gap_m = rng.uniform(4.0, 25.0);
+                e.lead_decel_ms2 = rng.uniform(2.0, 6.0);
+                break;
+            case EncounterKind::CrossingVehicle:
+                // A vehicle enters the intersection conflict zone; it clears
+                // quickly (crossing at road speed) but appears late when
+                // view is blocked by corner buildings.
+                e.conflict_distance_m = rng.bernoulli(0.1) ? rng.uniform(8.0, 25.0)
+                                                           : rng.uniform(25.0, 120.0);
+                e.crossing_speed_kmh = rng.uniform(20.0, 60.0);
+                break;
+            case EncounterKind::OncomingDrift:
+                // An oncoming vehicle drifts across the centre line; the
+                // conflict point approaches at combined speed, so the usable
+                // distance is short even when first seen far away.
+                e.conflict_distance_m = rng.uniform(20.0, 150.0);
+                e.crossing_speed_kmh = rng.uniform(2.0, 8.0);  // lateral re-entry speed
+                break;
+        }
+        return e;
+    }
 
 private:
     EncounterRates rates_;
@@ -99,7 +198,9 @@ private:
 /// can emerge from occlusion: dense VRU environments (parked cars, urban
 /// canyons) imply closer surprise appearances. Used by the tactical layer
 /// as the sight distance for the defensive sight-speed rule.
-[[nodiscard]] double assumed_occlusion_sight_m(const Environment& env) noexcept;
+[[nodiscard]] inline double assumed_occlusion_sight_m(const Environment& env) noexcept {
+    return 100.0 / (1.0 + std::max(env.vru_density, 0.0));
+}
 
 /// A persistent environment process: consecutive operating stretches are
 /// correlated (weather fronts last hours, a vehicle stays in one district

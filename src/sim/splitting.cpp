@@ -92,6 +92,7 @@ double encounter_severity(const EncounterOutcome& outcome) noexcept {
 FleetSeverityModel::FleetSeverityModel(FleetConfig config)
     : config_(std::move(config)), sampler_(config_.rates) {
     config_.policy.validate();
+    terms_ = config_.policy.terms();
 }
 
 FleetSeverityModel::Start FleetSeverityModel::begin(stats::Rng& rng) const {
@@ -122,7 +123,7 @@ double FleetSeverityModel::episode_severity(const Start& start,
     const ResolvedEncounter resolved = resolve_encounter(
         kind, start.env, start.cruise_kmh,
         /*decel_cap=*/std::numeric_limits<double>::infinity(),
-        /*gap_stretch=*/1.0, config_.policy, config_.perception, sampler_, rng);
+        /*gap_stretch=*/1.0, config_.policy, terms_, config_.perception, sampler_, rng);
     return encounter_severity(resolved.outcome);
 }
 

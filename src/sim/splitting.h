@@ -332,6 +332,8 @@ public:
 private:
     FleetConfig config_;
     ScenarioSampler sampler_;
+    /// config_.policy's constant terms, computed once after validation.
+    TacticalPolicy::Terms terms_;
 };
 
 }  // namespace qrn::sim

@@ -4,7 +4,10 @@
 // its own binary so ctest can give it a wall-clock TIMEOUT; a step that
 // grows faster than linearly in the fleet count fails by timing out.
 // The binary also counts the bytes every operator new asks for, so the
-// memory a built DAG keeps is pinned too.
+// memory a built DAG keeps is pinned too. The plain and the nothrow forms
+// are both replaced: under AddressSanitizer a form left to the runtime
+// comes from libasan's allocator, and the replaced delete, which reads
+// this binary's size header, would then free a block without one.
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -29,12 +32,17 @@ constexpr std::size_t kHeader = alignof(std::max_align_t);
 
 }  // namespace
 
-void* operator new(std::size_t bytes) {
+void* operator new(std::size_t bytes, const std::nothrow_t&) noexcept {
     void* block = std::malloc(bytes + kHeader);
-    if (block == nullptr) throw std::bad_alloc();
+    if (block == nullptr) return nullptr;
     std::memcpy(block, &bytes, sizeof bytes);
     g_live_bytes.fetch_add(bytes, std::memory_order_relaxed);
     return static_cast<char*>(block) + kHeader;
+}
+
+void* operator new(std::size_t bytes) {
+    if (void* block = operator new(bytes, std::nothrow)) return block;
+    throw std::bad_alloc();
 }
 
 void operator delete(void* p) noexcept {
@@ -48,11 +56,17 @@ void operator delete(void* p) noexcept {
 
 void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
 
+void operator delete(void* p, const std::nothrow_t&) noexcept { operator delete(p); }
+
 namespace {
 
 using namespace qrn::sched;
 
 constexpr std::uint64_t kMaxFleets = 100000;  // the CLI's --fleets ceiling
+
+/// Where the counter's own check parks a block, so that the compiler
+/// cannot elide its allocation.
+void* volatile escaped = nullptr;
 
 CampaignPlan campaign_plan(std::uint64_t fleets) {
     CampaignPlan shape;
@@ -63,6 +77,15 @@ CampaignPlan campaign_plan(std::uint64_t fleets) {
     shape.hours_per_fleet = 1.0;
     return make_plan(shape.policy, shape.odd, config_from_plan(shape),
                      campaign_inputs_digest());
+}
+
+TEST(SchedLimits, LiveBytesCountTheNothrowForm) {
+    // std::stable_sort's buffer, for one, comes from the nothrow form.
+    const std::size_t before = g_live_bytes.load();
+    escaped = ::operator new(4096, std::nothrow);
+    EXPECT_EQ(g_live_bytes.load() - before, 4096u);
+    ::operator delete(escaped);
+    EXPECT_EQ(g_live_bytes.load(), before);
 }
 
 TEST(SchedLimits, LargestAcceptedCampaignCompilesInBoundedTime) {
